@@ -108,13 +108,16 @@ def simulate(
             ``stats.warmup_instructions``.
         checkpoints: Optional
             :class:`~repro.harness.checkpoint.CheckpointStore`; with a
-            ``checkpoint_key`` the warmed architectural state is restored
-            from (or stored into) it, so repeated warmups are paid once.
-        checkpoint_key: Store key identifying the warmed state (see
+            ``checkpoint_key`` the architectural start state (warm start
+            plus ``warmup`` fast-forward) is restored from (or stored
+            into) it, so it is computed once per trace.
+        checkpoint_key: Store key identifying that state (see
             :func:`~repro.harness.checkpoint.arch_key`); ignored without
-            a store.  Instrumented runs (``tracer``/``metrics``) never
-            touch the store — snapshots exclude probe state — but still
-            fast-forward.
+            a store.  Instrumented runs (``tracer``/``metrics``) and
+            multi-program co-schedules never touch the store — arch
+            snapshots exclude probe state and cover a single root — and
+            recompute the state instead (see
+            :meth:`~repro.core.Engine.warm_start`).
 
     Returns:
         The populated :class:`SimStats` for the run.
@@ -185,20 +188,9 @@ def simulate(
         trace = list(workload_or_trace)
     engine = Engine(
         trace, config, predictor=predictor, selector=selector,
-        warm_addresses=warm_addresses, tracer=tracer, metrics=metrics,
-        traces=traces,
+        tracer=tracer, metrics=metrics, traces=traces, warm=False,
     )
-    if warmup:
-        store = checkpoints
-        if checkpoint_key is None or tracer is not None or metrics is not None:
-            store = None
-        payload = store.get(checkpoint_key) if store is not None else None
-        if payload is not None:
-            engine.restore(payload)
-        else:
-            engine.fast_forward(warmup)
-            if store is not None:
-                store.put(checkpoint_key, engine.snapshot(scope="arch"))
+    engine.warm_start(warm_addresses, warmup, checkpoints, checkpoint_key)
     return engine.run()
 
 

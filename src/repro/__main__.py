@@ -141,12 +141,12 @@ def _cmd_run_checkpoint(args: argparse.Namespace) -> int:
         config,
         predictor=vp.resolve(args.predictor)(),
         selector=select.resolve(args.selector)(),
-        warm_addresses=warm_addresses,
+        warm=False,
     )
     if restored is not None:
         engine.restore(restored["arch"])
     else:
-        engine.fast_forward(warmup)
+        engine.warm_start(warm_addresses, warmup)
     if args.checkpoint:
         save_checkpoint(
             args.checkpoint,
@@ -584,13 +584,14 @@ def _cmd_cache_prune(args: argparse.Namespace) -> int:
         max_age_days=args.max_age_days,
         dry_run=args.dry_run,
     )
+    remaining = sum(1 for _ in cache.files())
     if args.dry_run:
         print(f"would prune {removed} entries ({cache.last_prune_bytes} "
               f"bytes) from {cache.directory} "
-              f"({len(cache) - removed} would remain)")
+              f"({remaining - removed} would remain)")
     else:
         print(f"pruned {removed} entries ({cache.last_prune_bytes} bytes) "
-              f"from {cache.directory} ({len(cache)} remaining)")
+              f"from {cache.directory} ({remaining} remaining)")
     return 0
 
 
@@ -893,8 +894,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument(
             "--checkpoint-dir", default=None,
-            help="warmup checkpoint store for warmed campaigns (default: "
-                 "$REPRO_CHECKPOINT_DIR, else no checkpoint reuse)",
+            help="warm-state checkpoint store (default: "
+                 "$REPRO_CHECKPOINT_DIR, else checkpoints/ in the result "
+                 "cache, else no checkpoint reuse)",
         )
         sp.add_argument(
             "--lanes", default=None, metavar="N|auto",
@@ -994,8 +996,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument(
             "--checkpoint-dir", default=None,
-            help="warmup checkpoint store shared across rungs (default: "
-                 "$REPRO_CHECKPOINT_DIR, else no checkpoint reuse)",
+            help="warm-state checkpoint store shared across rungs "
+                 "(default: $REPRO_CHECKPOINT_DIR, else checkpoints/ in "
+                 "the result cache, else no checkpoint reuse)",
         )
         sp.add_argument(
             "--lanes", default=None, metavar="N|auto",

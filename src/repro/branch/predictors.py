@@ -105,10 +105,12 @@ class _CounterTable:
         elif c > 0:
             self.counters[i] = c - 1
 
-    def snapshot(self) -> list[int]:
-        return list(self.counters)
+    def snapshot(self) -> bytes:
+        # one byte per 2-bit counter: an eighth of a list's footprint, which
+        # matters for warm-state checkpoints held in memory while restoring
+        return bytes(self.counters)
 
-    def restore(self, counters: list[int]) -> None:
+    def restore(self, counters: bytes | list[int]) -> None:
         if len(counters) != self.entries:
             raise ValueError("counter-table snapshot size mismatch")
         self.counters = list(counters)

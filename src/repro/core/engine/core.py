@@ -61,6 +61,10 @@ class Engine(
             occupancy/speculation metrics land in ``stats.extended``.
             Instrumentation is strictly read-only: an instrumented run
             produces bit-identical :class:`SimStats` counters.
+        warm: Apply the warm start (``config.warm_caches``) during
+            construction.  ``False`` builds the engine cold, for callers
+            that bring it to its start state through :meth:`warm_start`
+            (which can restore that state from a checkpoint store).
     """
 
     def __init__(
@@ -74,6 +78,7 @@ class Engine(
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         traces: list[list[Instruction]] | None = None,
+        warm: bool = True,
     ) -> None:
         model = self.model = resolve_model(config.mode)
         if traces is None:
@@ -222,8 +227,8 @@ class Engine(
                 obs.register_thread(r.order, f"ctx{r.slot}")
             obs.context_count(0, len(roots))
 
-        if config.warm_caches:
-            self._warm_state(warm_addresses, roots)
+        if warm:
+            self.warm_start(warm_addresses)
 
     # ------------------------------------------------------------------
     # small helpers

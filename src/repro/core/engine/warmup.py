@@ -1,9 +1,8 @@
 """Warm start and functional fast-forward.
 
-Two distinct mechanisms live here, both touching *architectural* state
-only:
+Two mechanisms live here, both touching *architectural* state only:
 
-* :meth:`WarmupMixin._warm_state` — the legacy SimPoint-style warm start
+* :meth:`WarmupMixin._warm_state` — the SimPoint-style warm start
   (``config.warm_caches``): pre-touch the steady-state footprint and train
   the predictors by replaying the trace functionally, without advancing
   the trace position.  The timed run still covers the whole trace.
@@ -14,6 +13,10 @@ only:
   The timed run then covers only the remaining instructions.  Component
   counters accumulated during the pass are reset so stats describe the
   measured interval alone.
+
+:meth:`WarmupMixin.warm_start` is the one entry point that applies both
+to a cold-built engine, or restores their combined result from a
+checkpoint store instead of recomputing it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,43 @@ from repro.isa import OpClass
 
 class WarmupMixin:
     """Architectural-only trace replay: warm start and fast-forward."""
+
+    def warm_start(
+        self, warm_addresses=None, warmup: int = 0, checkpoints=None,
+        key: str | None = None,
+    ) -> None:
+        """Bring a cold-built engine to the state its timed run starts from.
+
+        Applies the warm start (when ``config.warm_caches``) and then a
+        functional fast-forward of ``warmup`` instructions.  Both produce
+        architectural state only, so their combined result is one
+        cacheable artifact: with a ``checkpoints`` store (anything with
+        ``get``/``put``, e.g.
+        :class:`~repro.harness.checkpoint.CheckpointStore`) and a ``key``
+        (:func:`~repro.harness.checkpoint.arch_key`) it is restored from
+        the store when present, and computed and stored otherwise.
+
+        Instrumented engines always compute (arch snapshots exclude probe
+        state), and so do multi-program co-schedules (arch snapshots cover
+        a single root context).
+        """
+        if self._started:
+            raise RuntimeError("warm_start() must run before Engine.run()")
+        if key is None or self._obs is not None or self.model.multi_program:
+            checkpoints = None
+        if checkpoints is not None:
+            payload = checkpoints.get(key)
+            if payload is not None:
+                self.restore(payload)
+                return
+        if self.config.warm_caches:
+            self._warm_state(
+                warm_addresses, [c for c in self._contexts if c is not None]
+            )
+        if warmup:
+            self.fast_forward(warmup)
+        if checkpoints is not None:
+            checkpoints.put(key, self.snapshot(scope="arch"))
 
     def _warm_state(self, addresses, roots: list[ThreadContext]) -> None:
         """SimPoint-style warm start for long-lived microarchitectural state.

@@ -147,7 +147,7 @@ class WorkerDispatcher:
             else max(0.5, min(10.0, stale_after / 6.0))
         )
         cache_obj = policy.resolved_cache()
-        ckpt_store = policy.resolved_checkpoints() if warmup else None
+        ckpt_store = policy.resolved_checkpoints()
 
         argv = [
             "--db", str(store.path),
@@ -170,6 +170,8 @@ class WorkerDispatcher:
             argv += ["--no-cache"]
         if ckpt_store is not None:
             argv += ["--checkpoint-dir", str(ckpt_store.directory)]
+        else:
+            argv += ["--no-checkpoints"]
         if warmup:
             argv += ["--warmup", str(warmup)]
         if sample is not None:

@@ -206,6 +206,15 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
+    def files(self):
+        """Every file this cache answers for (:meth:`prune`, :meth:`clear`).
+
+        Its own entries, plus the ``.ckpt`` files of the checkpoint store
+        that defaults to its ``checkpoints/`` subdirectory.
+        """
+        yield from self.directory.glob("*.json")
+        yield from (self.directory / "checkpoints").glob("*.ckpt")
+
     def contains(self, key: str) -> bool:
         """Whether ``key`` currently has an entry (no counter traffic)."""
         return self._path(key).exists()
@@ -279,6 +288,9 @@ class ResultCache:
     ) -> int:
         """Evict old entries; returns how many files were removed.
 
+        Warm-state checkpoints in the ``checkpoints/`` subdirectory count
+        as entries too, so the default store stays within the same bounds.
+
         Entries older than ``max_age_days`` (by mtime) go first; then, if
         the directory still exceeds ``max_bytes``, the least recently
         touched survivors are evicted until it fits (LRU by mtime —
@@ -296,7 +308,7 @@ class ResultCache:
         if now is None:
             now = time.time()
         entries = []
-        for path in self.directory.glob("*.json"):
+        for path in self.files():
             try:
                 stat = path.stat()
             except OSError:
@@ -339,9 +351,9 @@ class ResultCache:
         return removed
 
     def clear(self) -> int:
-        """Delete every cached entry; returns how many were removed."""
+        """Delete every cached entry and checkpoint; returns how many."""
         removed = 0
-        for path in self.directory.glob("*.json"):
+        for path in list(self.files()):
             try:
                 path.unlink()
                 removed += 1

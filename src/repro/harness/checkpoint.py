@@ -1,22 +1,26 @@
 """Warmup checkpoint store: cached architectural state, shared across runs.
 
-Functional fast-forward (:meth:`Engine.fast_forward`) skips the warmup
-prefix of a trace, touching only *architectural* state — trace position,
-branch history, cache/prefetcher contents, branch- and value-predictor
-tables.  That state is a pure function of far fewer ingredients than a
-full simulation result: the workload and seed, the warmup length, the
-value-predictor recipe, and only the *architecturally relevant* machine
-axes (cache geometry and prefetcher parameters — not latencies, ports,
-window sizes, selectors or simulation mode, none of which functional
-warmup can observe).
+An engine's start state comes from two functional passes over its trace
+(:meth:`Engine.warm_start`): the SimPoint-style warm start
+(``warm_caches``: resident footprint pre-touched, predictors trained on
+the whole trace) and the fast-forward past a ``warmup`` prefix.  Both
+touch only *architectural* state — trace position, branch history,
+cache/prefetcher contents, branch- and value-predictor tables.  That
+state is a pure function of far fewer ingredients than a full simulation
+result: the workload and seed, the warmup length, the total trace length
+(the warm start trains on all of it), the value-predictor recipe, and
+only the *architecturally relevant* machine axes (cache geometry and
+prefetcher parameters — not latencies, ports, window sizes, selectors or
+simulation mode, none of which a functional pass can observe).
 
-So one warmup checkpoint serves every configuration in a sweep that
-varies only timing axes: the first run fast-forwards and stores an
+So one checkpoint serves every configuration in a sweep that varies only
+timing axes: the first run computes the state and stores an
 ``scope="arch"`` engine snapshot under :func:`arch_key`; later runs
 restore it and go straight to the timed region.  The store is a directory
-of pickle files, a sibling of the result cache
-(:func:`default_checkpoint_dir`), with the same hit/miss/store counters
-for tests and campaign summaries.
+of pickle files, by default beside the result cache
+(:func:`default_checkpoint_dir`; a policy with a result cache and no
+explicit store uses ``<cache>/checkpoints``), with the same
+hit/miss/store counters for tests and campaign summaries.
 
 The ``repro run --checkpoint/--restore`` CLI uses the single-file helpers
 :func:`save_checkpoint` / :func:`load_checkpoint` instead of keyed
@@ -76,17 +80,27 @@ def default_checkpoint_dir() -> Path:
     return default_cache_dir() / "checkpoints"
 
 
-def arch_key(workload_name: str, seed: int, warmup: int, spec) -> str | None:
-    """Checkpoint key for one ``(workload, seed, warmup, RunSpec)``.
+def arch_key(
+    workload_name: str, seed: int, warmup: int, spec, length: int | None = None
+) -> str | None:
+    """Checkpoint key for one ``(workload, seed, warmup, RunSpec, length)``.
 
     Only architectural ingredients participate (see the module
     docstring); two specs that differ in selector, mode or any timing
-    axis map to the same key and share a checkpoint.  Returns ``None``
-    when an ingredient cannot be described stably (lambda factories),
-    mirroring :func:`~repro.harness.cache.task_key`.
+    axis map to the same key and share a checkpoint.  ``length`` is the
+    caller's trace length as :meth:`RunSpec.run` takes it (``spec.sample``
+    overrides it); with ``warm_caches`` on, the total trace length
+    ``warmup + measured`` enters the key, because the warm start trains
+    on the whole trace.
+
+    Returns ``None`` when there is nothing to checkpoint (no warmup and
+    no warm start), when the state spans several root contexts
+    (multi-program modes), when ``warm_caches`` is on but the trace
+    length is unknown, or when an ingredient cannot be described stably
+    (lambda factories, mirroring :func:`~repro.harness.cache.task_key`).
     """
-    if not warmup:
-        return None
+    from repro.core.modes import resolve_model
+
     predictor = describe_factory(spec.predictor_factory)
     if predictor is None:
         return None
@@ -94,15 +108,26 @@ def arch_key(workload_name: str, seed: int, warmup: int, spec) -> str | None:
         config = spec.config_factory()
     except TypeError:
         return None
-    fields = dataclasses.asdict(config)
+    if resolve_model(config.mode).multi_program:
+        return None
     payload = {
         "workload": workload_name,
         "seed": seed,
         "warmup": warmup,
         "predictor": predictor,
-        "config": {name: _plain(fields[name]) for name in ARCH_CONFIG_FIELDS},
-        "code": code_version(),
     }
+    if config.warm_caches:
+        measured = spec.sample if spec.sample is not None else length
+        if measured is None:
+            return None
+        payload["length"] = warmup + measured
+    elif not warmup:
+        return None
+    fields = dataclasses.asdict(config)
+    payload["config"] = {
+        name: _plain(fields[name]) for name in ARCH_CONFIG_FIELDS
+    }
+    payload["code"] = code_version()
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -184,6 +209,13 @@ class CheckpointStore:
         with self._counter_lock:
             self.stores += 1
 
+    def add_traffic(self, hits: int, misses: int, stores: int) -> None:
+        """Fold another handle's counters into this one (pooled workers)."""
+        with self._counter_lock:
+            self.hits += hits
+            self.misses += misses
+            self.stores += stores
+
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*.ckpt"))
 
@@ -197,7 +229,9 @@ class CheckpointStore:
 def resolve_checkpoints(checkpoints) -> CheckpointStore | None:
     """Normalize the ``checkpoints`` argument harness entry points accept.
 
-    ``None`` consults ``$REPRO_CHECKPOINT_DIR`` (unset means no store);
+    ``None`` consults ``$REPRO_CHECKPOINT_DIR`` (unset means no store
+    here; :meth:`~repro.harness.policy.ExecutionPolicy.resolved_checkpoints`
+    then falls back to ``checkpoints/`` beside the result cache);
     ``False`` disables checkpointing outright; a string/path opens a
     :class:`CheckpointStore` there; a store passes through.
     """

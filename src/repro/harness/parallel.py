@@ -88,40 +88,41 @@ class SimulationError(RuntimeError):
 def _run_task(
     spec, workload_name: str, length: int, seed: int, checkpoints=None
 ) -> SimStats:
-    """Worker entry point: one spec on one workload (must stay picklable).
-
-    ``checkpoints`` is a directory path in pooled runs (each worker opens
-    its own :class:`~repro.harness.checkpoint.CheckpointStore` on it) or
-    the store object itself on the serial path, so in-process counters
-    survive for callers that report them.
-    """
-    if checkpoints is None:
-        return spec.run(workload_name, length, seed)
-    from repro.harness.checkpoint import resolve_checkpoints
-
-    return spec.run(
-        workload_name, length, seed, checkpoints=resolve_checkpoints(checkpoints)
-    )
+    """One spec on one workload, against an optional checkpoint store."""
+    return spec.run(workload_name, length, seed, checkpoints=checkpoints)
 
 
 def _run_batch_task(
     spec, workload_name: str, length: int, seeds: list, checkpoints=None
 ) -> list[SimStats]:
-    """Worker entry point for one lane group (must stay picklable).
+    """One lane group: one :class:`SimStats` per seed, in seed order.
 
-    Returns one :class:`SimStats` per seed, in seed order — bit-identical
-    to running :func:`_run_task` once per seed.
+    Bit-identical to running :func:`_run_task` once per seed.
     """
     from repro.harness.runner import simulate_batch
 
-    store = None
-    if checkpoints is not None:
-        from repro.harness.checkpoint import resolve_checkpoints
-
-        store = resolve_checkpoints(checkpoints)
     return simulate_batch(
-        workload_name, spec, length, seeds, checkpoints=store
+        workload_name, spec, length, seeds, checkpoints=checkpoints
     )
+
+
+def _run_pooled(fn, spec, workload_name: str, length: int, seed, ckpt_dir):
+    """Pool entry point: ``fn`` against this worker's own store handle.
+
+    ``fn`` is :func:`_run_task` (``seed`` one seed) or
+    :func:`_run_batch_task` (``seed`` a lane group's seeds); both must
+    stay picklable.  ``ckpt_dir`` is the store's directory (paths pickle,
+    stores do not);
+    the result comes back with the handle's ``(hits, misses, stores)`` so
+    the parent can fold pooled checkpoint traffic into its own counters.
+    """
+    if ckpt_dir is None:
+        return fn(spec, workload_name, length, seed), (0, 0, 0)
+    from repro.harness.checkpoint import CheckpointStore
+
+    store = CheckpointStore(ckpt_dir)
+    outcome = fn(spec, workload_name, length, seed, store)
+    return outcome, (store.hits, store.misses, store.stores)
 
 
 def run_simulations(
@@ -285,8 +286,6 @@ def run_simulations(
 
     if n_jobs > 1 and len(batches) > 1:
         with ProcessPoolExecutor(max_workers=min(n_jobs, len(batches))) as pool:
-            # workers get the store's directory, not the store: paths
-            # pickle, and each worker reopens its own handle on it
             ckpt_dir = (
                 str(ckpt_store.directory) if ckpt_store is not None else None
             )
@@ -295,13 +294,14 @@ def run_simulations(
                 workload_name, spec, length, seed = tasks[batch[0][0]]
                 if len(batch) == 1:
                     future = pool.submit(
-                        _run_task, spec, workload_name, length, seed, ckpt_dir
+                        _run_pooled, _run_task, spec, workload_name, length,
+                        seed, ckpt_dir,
                     )
                 else:
                     seeds = [tasks[indices[0]][3] for indices in batch]
                     future = pool.submit(
-                        _run_batch_task, spec, workload_name, length, seeds,
-                        ckpt_dir,
+                        _run_pooled, _run_batch_task, spec, workload_name,
+                        length, seeds, ckpt_dir,
                     )
                 futures[future] = batch
             remaining = set(futures)
@@ -310,10 +310,12 @@ def run_simulations(
                 for future in done:
                     batch = futures[future]
                     try:
-                        outcome = future.result()
+                        outcome, traffic = future.result()
                     except Exception as exc:
                         fail([i for indices in batch for i in indices], exc)
                     else:
+                        if ckpt_store is not None:
+                            ckpt_store.add_traffic(*traffic)
                         finish_batch(batch, outcome)
     else:
         for batch in batches:

@@ -16,8 +16,8 @@ this work execute* into one value:
   processes leasing rows from the sweep store), or ``"auto"``,
 * ``workers`` — worker-process count for ``dispatch="workers"``,
 * ``retries`` — extra attempts per failed sweep row,
-* ``cache`` / ``checkpoints`` — the shared result cache and warmup
-  checkpoint store,
+* ``cache`` / ``checkpoints`` — the shared result cache and the
+  warm-state checkpoint store (by default beside the cache),
 * ``warmup`` / ``sample`` — the interval protocol,
 * ``chunk`` / ``stale_after`` / ``heartbeat`` — commit granularity and
   the lease-liveness protocol.
@@ -38,7 +38,9 @@ Environment defaults (one table, also in README):
 ``REPRO_DISPATCH``       sweep dispatch mode (``local``/``pool``/``workers``)
 ``REPRO_WORKERS``        worker-process count for ``dispatch=workers``
 ``REPRO_CACHE_DIR``      result cache directory (unset = no caching)
-``REPRO_CHECKPOINT_DIR`` warmup checkpoint directory (unset = no reuse)
+``REPRO_CHECKPOINT_DIR`` warm-state checkpoint directory (unset =
+                         ``checkpoints/`` inside the result cache when
+                         there is one, else no reuse)
 ``REPRO_TRACE_LEN``      default dynamic trace length
 =======================  ====================================================
 """
@@ -239,9 +241,20 @@ class ExecutionPolicy:
         return resolve_cache(self.cache)
 
     def resolved_checkpoints(self):
-        from repro.harness.checkpoint import resolve_checkpoints
+        """The checkpoint store; unset falls back to one beside the cache.
 
-        return resolve_checkpoints(self.checkpoints)
+        ``checkpoints=None`` consults ``$REPRO_CHECKPOINT_DIR`` first,
+        then uses ``checkpoints/`` inside the resolved result cache, so a
+        cached campaign also reuses warm state; ``False`` means no store.
+        """
+        from repro.harness.checkpoint import CheckpointStore, resolve_checkpoints
+
+        store = resolve_checkpoints(self.checkpoints)
+        if store is None and self.checkpoints is None:
+            cache = self.resolved_cache()
+            if cache is not None:
+                store = CheckpointStore(cache.directory / "checkpoints")
+        return store
 
     # ------------------------------------------------------------------
     def merged(self, **overrides) -> "ExecutionPolicy":

@@ -95,20 +95,16 @@ class RunSpec:
         """Simulate this configuration on one workload.
 
         ``checkpoints`` (a
-        :class:`~repro.harness.checkpoint.CheckpointStore`) lets a warmed
-        spec restore its architectural warmup state instead of
-        re-deriving it; the key covers only architectural ingredients,
-        so specs differing in timing axes share checkpoints.
+        :class:`~repro.harness.checkpoint.CheckpointStore`) lets the run
+        restore its architectural start state (warm start plus warmup
+        fast-forward) instead of re-deriving it; the key covers only
+        architectural ingredients, so specs differing in timing axes
+        share checkpoints.
         """
         if metrics is None and self.observe:
             from repro.obs import MetricsRegistry
 
             metrics = MetricsRegistry()
-        checkpoint_key = None
-        if self.warmup and checkpoints is not None:
-            from repro.harness.checkpoint import arch_key
-
-            checkpoint_key = arch_key(workload_name, seed, self.warmup, self)
         return simulate(
             get_workload(workload_name),
             self.config_factory(),
@@ -120,8 +116,20 @@ class RunSpec:
             metrics=metrics,
             warmup=self.warmup,
             checkpoints=checkpoints,
-            checkpoint_key=checkpoint_key,
+            checkpoint_key=self.checkpoint_key(
+                workload_name, length, seed, checkpoints
+            ),
         )
+
+    def checkpoint_key(
+        self, workload_name: str, length: int, seed: int, checkpoints
+    ) -> str | None:
+        """The store key for this spec's start state (None without a store)."""
+        if checkpoints is None:
+            return None
+        from repro.harness.checkpoint import arch_key
+
+        return arch_key(workload_name, seed, self.warmup, self, length)
 
 
 @dataclasses.dataclass
@@ -228,21 +236,14 @@ def simulate_batch(
             config,
             predictor=spec.predictor_factory(),
             selector=spec.selector_factory(),
-            warm_addresses=warm if config.warm_caches else None,
+            warm=False,
         )
-        if spec.warmup:
-            key = None
-            if checkpoints is not None:
-                from repro.harness.checkpoint import arch_key
-
-                key = arch_key(workload_name, seed, spec.warmup, spec)
-            payload = checkpoints.get(key) if key is not None else None
-            if payload is not None:
-                engine.restore(payload)
-            else:
-                engine.fast_forward(spec.warmup)
-                if key is not None:
-                    checkpoints.put(key, engine.snapshot(scope="arch"))
+        engine.warm_start(
+            warm,
+            spec.warmup,
+            checkpoints,
+            spec.checkpoint_key(workload_name, n, seed, checkpoints),
+        )
         engines.append(engine)
     return run_lockstep(engines)
 

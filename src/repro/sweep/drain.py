@@ -134,7 +134,7 @@ def drain_store(
         (dispatches of previously-failed rows), ``lost`` (results whose
         lease was reclaimed before the commit landed), ``shed`` (rows
         released for peers to steal), ``ckpt_enabled``/``ckpt_hits``/
-        ``ckpt_stores`` (warmup checkpoint traffic).
+        ``ckpt_stores`` (warm-state checkpoint traffic).
     """
     policy = policy if policy is not None else ExecutionPolicy()
     say = echo if echo is not None else (lambda *_: None)
@@ -144,7 +144,7 @@ def drain_store(
     jobs = policy.resolved_jobs()
     chunk = policy.chunk if policy.chunk is not None else max(8, 4 * jobs)
     cache_obj = policy.resolved_cache()
-    ckpt_store = policy.resolved_checkpoints() if warmup else None
+    ckpt_store = policy.resolved_checkpoints()
     #: how each chunk reaches run_simulations — resolved once, no shims
     run_policy = ExecutionPolicy(
         jobs=jobs,

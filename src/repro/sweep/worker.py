@@ -69,7 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="disable the result cache"
     )
     parser.add_argument(
-        "--checkpoint-dir", default=None, help="warmup checkpoint dir"
+        "--checkpoint-dir", default=None, help="warm-state checkpoint dir"
+    )
+    parser.add_argument(
+        "--no-checkpoints", action="store_true",
+        help="disable the checkpoint store (else it defaults beside the cache)",
     )
     parser.add_argument(
         "--warmup", type=int, default=0,
@@ -95,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         stale_after=args.stale_after,
         heartbeat=args.heartbeat,
         cache=False if args.no_cache else args.cache_dir,
-        checkpoints=args.checkpoint_dir,
+        checkpoints=False if args.no_checkpoints else args.checkpoint_dir,
     )
     owner = worker_token(args.worker_id)
     echo = None if args.quiet else (

@@ -102,6 +102,44 @@ class TestModeAgreement:
         assert reports["local"] == reports["pool"] == reports["workers"]
 
 
+class TestCheckpointParity:
+    """A cached timing sweep restores warm state under every dispatcher."""
+
+    def test_dispatchers_agree_and_restore_warm_state(self, tmp_path):
+        import re
+
+        spec = _spec("parity", axis=(1, 8, 32))
+        rows = {}
+        for mode, extra in (
+            ("local", {}),
+            ("pool", {"jobs": 2}),
+            ("workers", {"workers": 2, "stale_after": 30.0, "heartbeat": 1.0}),
+        ):
+            lines: list[str] = []
+            policy = ExecutionPolicy(
+                dispatch=mode, cache=tmp_path / f"cache-{mode}", **extra
+            )
+            with ResultStore(tmp_path / f"{mode}.db") as store:
+                summary = run_sweep(spec, store, policy=policy, echo=lines.append)
+                assert summary.complete, f"{mode} left the campaign short"
+                rows[mode] = sorted(
+                    (r["point_id"], r["seed"], r["stats"])
+                    for r in store.rows("parity")
+                )
+            traffic = [
+                re.search(r"warmup checkpoints: (\d+) restored, (\d+) stored", line)
+                for line in lines
+            ]
+            restored, stored = next(
+                (int(m[1]), int(m[2])) for m in traffic if m is not None
+            )
+            assert restored > 0 and stored >= 2, (mode, lines)
+            # 3 points + baseline per seed, 2 seeds: every row either
+            # stored its warm state or restored one
+            assert restored + stored >= 8, (mode, lines)
+        assert rows["local"] == rows["pool"] == rows["workers"]
+
+
 class TestWorkerEntrypoint:
     """The standalone ``python -m repro.sweep.worker`` CLI."""
 
