@@ -78,50 +78,49 @@ class WarmupMixin:
           resident in steady state (regions that fit in the L3; giant
           non-revisiting walks stay cold, as they would be at any point of
           a real long run);
-        * branch predictor and value predictor: one functional pass over
+        * branch predictor and value predictor: a functional pass over
           the trace trains the tables exactly as the previous loop
-          iterations of the real program would have.
+          iterations of the real program would have; the value predictor
+          replays its loads for further passes (see below) through
+          :meth:`~repro.vp.base.ValuePredictor.replay`.
 
         Stats are reset afterwards so only the timed run is reported.
         """
-        hierarchy = self.hierarchy
         if addresses is not None:
-            for addr in addresses:
-                hierarchy.store(addr, 0)
-            hierarchy.reset_stats()
+            self.hierarchy.prefill(addresses)
+            self.hierarchy.reset_stats()
         bp = self.branch_predictor
         vp = self.predictor
         # one functional pass per program: single-program engines have one
         # root over self.trace (the historical behaviour, bit for bit),
         # multi-program co-schedules train the shared tables from every
         # stream — itself a realistic interference channel
+        branch, load = OpClass.BRANCH, OpClass.LOAD
         for root in roots:
             hist = 0
+            loads = []
             for inst in root.trace:
-                if inst.op is OpClass.BRANCH:
+                op = inst.op
+                if op is branch:
                     bp.update(inst.pc, hist, inst.taken)
                     hist = update_history(hist, inst.taken)
-                elif inst.op is OpClass.LOAD and inst.value is not None:
-                    vp.train(inst, inst.value)
-            # extra value-predictor passes: confidence counters (+1 per hit)
-            # need far more history than one short trace to reach the steady
-            # state a 100M-instruction run would have — minority pattern
-            # values gain confidence a point at a time and need several
-            # hundred sightings per static load before their counters mean
+                elif op is load and inst.value is not None:
+                    loads.append(inst)
+            root.bhist = hist
+            if not loads:
+                continue
+            # the branch and value predictors share no state, so the value
+            # predictor's passes can follow the branch scan.  Beyond the
+            # first pass: confidence counters (+1 per hit) need far more
+            # history than one short trace to reach the steady state a
+            # 100M-instruction run would have — minority pattern values
+            # gain confidence a point at a time and need several hundred
+            # sightings per static load before their counters mean
             # anything.  scale the replay count so each static load sees
             # ~800 trainings.
-            load_insts = [
-                inst
-                for inst in root.trace
-                if inst.op is OpClass.LOAD and inst.value is not None
-            ]
-            if load_insts:
-                per_pc = len(load_insts) / max(1, len({i.pc for i in load_insts}))
-                passes = min(40, max(1, round(800 / per_pc) - 1))
-                for _ in range(passes):
-                    for inst in load_insts:
-                        vp.train(inst, inst.value)
-            root.bhist = hist
+            per_pc = len(loads) / len({i.pc for i in loads})
+            passes = min(40, max(1, round(800 / per_pc) - 1))
+            vp.replay(loads, passes + 1)
         vp.lookups = 0
         vp.predictions = 0
         vp.correct = 0

@@ -191,6 +191,51 @@ class MemoryHierarchy:
                 self.l2.insert(addr)
             self.l1.insert(addr)
 
+    def prefill(self, addresses) -> None:
+        """Retire a store of value 0 to each address, without the counters.
+
+        Contents, LRU order and occupancy end exactly as after
+        ``store(addr, 0)`` per address; hit/miss counters stay as they
+        were.  The warm start pre-touches whole footprints this way, and
+        it works on the sets directly because the calls, not the cache
+        updates, are most of what ``store`` costs.
+        """
+        l1, l2, l3 = self.l1, self.l2, self.l3
+        shift1, mask1, sets1, ways1 = l1._line_shift, l1._set_mask, l1._sets, l1.assoc
+        shift2, mask2, sets2, ways2 = l2._line_shift, l2._set_mask, l2._sets, l2.assoc
+        shift3, mask3, sets3, ways3 = l3._line_shift, l3._set_mask, l3._sets, l3.assoc
+        for addr in addresses:
+            line = addr >> shift1
+            cset = sets1[line & mask1]
+            if line in cset:
+                del cset[line]
+                cset[line] = None
+                continue
+            line2 = addr >> shift2
+            cset2 = sets2[line2 & mask2]
+            if line2 in cset2:
+                del cset2[line2]
+            else:
+                line3 = addr >> shift3
+                cset3 = sets3[line3 & mask3]
+                if line3 in cset3:
+                    del cset3[line3]
+                elif len(cset3) >= ways3:
+                    del cset3[next(iter(cset3))]
+                else:
+                    l3._lines += 1
+                cset3[line3] = None
+                if len(cset2) >= ways2:
+                    del cset2[next(iter(cset2))]
+                else:
+                    l2._lines += 1
+            cset2[line2] = None
+            if len(cset) >= ways1:
+                del cset[next(iter(cset))]
+            else:
+                l1._lines += 1
+            cset[line] = None
+
     def warm_access(self, addr: int, pc: int) -> None:
         """Functional (timing-free) load used by warmup fast-forward.
 

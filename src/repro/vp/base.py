@@ -66,6 +66,18 @@ class ValuePredictor:
         """Update tables with the committed load value."""
         raise NotImplementedError
 
+    def replay(self, loads: list[Instruction], passes: int) -> None:
+        """Train on ``loads`` (each with a committed ``value``) ``passes`` times.
+
+        The warm start's functional replay.  Predictors may override it
+        with a faster algorithm, but the resulting state must equal that
+        of this loop exactly.
+        """
+        train = self.train
+        for _ in range(passes):
+            for inst in loads:
+                train(inst, inst.value)
+
     def speculative_update(self, inst: Instruction, predicted: int) -> None:
         """Optional speculative table update at the queue stage.
 

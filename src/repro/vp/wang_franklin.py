@@ -36,6 +36,34 @@ SLOT_STRIDE = 7
 NUM_SLOTS = 8
 
 
+def _build_ops() -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]:
+    """Interned confidence-update ops, indexed ``[learned count][match mask]``.
+
+    One training step changes a ValPHT vector according to two facts
+    only: which slots hold a candidate (the learned values present plus
+    zero, one and stride) and which candidates equal the committed value.
+    Each op is that pair of slot tuples, built once here so recorded
+    passes hold shared references rather than fresh tuples.
+    """
+    matches = [
+        tuple(s for s in range(NUM_SLOTS) if mask >> s & 1)
+        for mask in range(1 << NUM_SLOTS)
+    ]
+    table = []
+    for learned in range(NUM_LEARNED + 1):
+        avail = tuple(range(learned)) + (SLOT_ZERO, SLOT_ONE, SLOT_STRIDE)
+        table.append(tuple((avail, match) for match in matches))
+    return tuple(table)
+
+
+_OPS = _build_ops()
+#: pattern code of a match mask: its lowest matching slot, or NUM_SLOTS
+_FIRST_MATCH = tuple(
+    (mask & -mask).bit_length() - 1 if mask else NUM_SLOTS
+    for mask in range(1 << NUM_SLOTS)
+)
+
+
 class _VhtEntry:
     """One value-history-table entry.
 
@@ -225,6 +253,138 @@ class WangFranklinPredictor(ValuePredictor):
         entry.last_committed = actual
         entry.last_value = actual
 
+    # ------------------------------------------------------------------
+    def replay(self, loads: list[Instruction], passes: int) -> None:
+        """``passes`` rounds of :meth:`train` over ``loads``, computed faster.
+
+        Training splits into two parts.  The VHT walk (learned values,
+        stride, pattern, and so the ValPHT index and the candidate/match
+        slots of every step) never reads a confidence counter.  The
+        confidence update of a step reads and writes only its own ValPHT
+        vector.  So each pass is a VHT walk that records, per vector, its
+        list of ops (:data:`_OPS`), and vectors then replay their lists
+        independently.
+
+        Once a pass leaves the touched VHT entries as it found them, every
+        later pass walks identically and records the same lists.  The
+        remaining passes then only repeat each vector's op list, and a
+        vector's next state depends on its current state alone.  So each
+        vector detects the first repeated state exactly and skips whole
+        periods.  If the VHT never settles, every pass is walked in full.
+        """
+        vht_mask = self._vht_mask
+        touched = list({(inst.pc >> 2) & vht_mask for inst in loads})
+        before = self._vht_state(touched)
+        remaining = passes
+        while remaining > 0:
+            ops = self._walk(loads)
+            remaining -= 1
+            reps = 1
+            if remaining:
+                after = self._vht_state(touched)
+                if after == before:
+                    reps += remaining
+                    remaining = 0
+                before = after
+            self._apply(ops, reps)
+
+    def _vht_state(self, indices: list[int]) -> list[tuple | None]:
+        """Everything but confidences of the VHT entries at ``indices``."""
+        vht = self._vht
+        return [
+            None if e is None else (
+                e.pc, tuple(e.values), e.last_value, e.last_committed,
+                e.stride, e.pattern,
+            )
+            for e in (vht[i] for i in indices)
+        ]
+
+    def _walk(self, loads: list[Instruction]) -> dict[int, list]:
+        """One training pass over the VHT; returns each vector's op list.
+
+        Mirrors :meth:`train` step for step (learned values are distinct,
+        so at most one learned slot can match), leaving every confidence
+        counter untouched.
+        """
+        vht = self._vht
+        vht_mask = self._vht_mask
+        valpht_mask = self._valpht_mask
+        pattern_mask = self._pattern_mask
+        ops_table = _OPS
+        first_match = _FIRST_MATCH
+        ops: dict[int, list] = {}
+        for inst in loads:
+            pc = inst.pc
+            actual = inst.value & _MASK64
+            idx = (pc >> 2) & vht_mask
+            entry = vht[idx]
+            if entry is None or entry.pc != pc:
+                entry = vht[idx] = _VhtEntry(pc)
+            vec = ((pc >> 2) ^ (entry.pattern * 0x65D)) & valpht_mask
+            values = entry.values
+            learned = len(values)
+            if actual in values:
+                slot = values.index(actual)
+                mask = 1 << slot
+                del values[slot]
+            else:
+                mask = 0
+                if learned == NUM_LEARNED:
+                    del values[0]
+            values.append(actual)
+            if actual == 0:
+                mask |= 1 << SLOT_ZERO
+            elif actual == 1:
+                mask |= 1 << SLOT_ONE
+            if actual == (entry.last_value + entry.stride) & _MASK64:
+                mask |= 1 << SLOT_STRIDE
+            op = ops_table[learned][mask]
+            try:
+                ops[vec].append(op)
+            except KeyError:
+                ops[vec] = [op]
+            entry.pattern = ((entry.pattern << 4) | first_match[mask]) & pattern_mask
+            entry.stride = (actual - entry.last_committed) & _MASK64
+            entry.last_committed = entry.last_value = actual
+        return ops
+
+    def _apply(self, ops: dict[int, list], reps: int) -> None:
+        """Apply each vector's op list ``reps`` times, skipping whole cycles."""
+        valpht = self._valpht
+        floor = self.threshold - 1
+        bonus = self.bonus
+        penalty = self.penalty
+        max_conf = self.max_conf
+        for vec, vec_ops in ops.items():
+            conf = valpht[vec]
+            if conf is None:
+                conf = valpht[vec] = [0] * NUM_SLOTS
+            seen: dict[tuple, int] = {}
+            states: list[tuple] = []
+            for rep in range(reps):
+                state = tuple(conf)
+                start = seen.get(state)
+                if start is not None:
+                    conf[:] = states[start + (reps - start) % (rep - start)]
+                    break
+                seen[state] = rep
+                states.append(state)
+                for avail, match in vec_ops:
+                    # the acting prediction, chosen exactly as predict() does
+                    predicted = -1
+                    best = floor
+                    for slot in avail:
+                        c = conf[slot]
+                        if c > best:
+                            best = c
+                            predicted = slot
+                    for slot in match:
+                        c = conf[slot] + bonus
+                        conf[slot] = c if c < max_conf else max_conf
+                    if predicted >= 0 and predicted not in match:
+                        c = conf[predicted] - penalty
+                        conf[predicted] = c if c > 0 else 0
+
     def _snapshot_state(self) -> dict:
         return {
             "vht": [
@@ -250,10 +410,20 @@ class WangFranklinPredictor(ValuePredictor):
         ):
             raise ValueError("WangFranklinPredictor snapshot table size mismatch")
         vht: list[_VhtEntry | None] = []
-        for e in state["vht"]:
+        for i, e in enumerate(state["vht"]):
             if e is None:
                 vht.append(None)
                 continue
+            if len(e) != 6:
+                raise ValueError(
+                    f"WangFranklinPredictor snapshot VHT entry {i} has "
+                    f"{len(e)} fields, expected 6"
+                )
+            if len(e[1]) > NUM_LEARNED:
+                raise ValueError(
+                    f"WangFranklinPredictor snapshot VHT entry {i} holds "
+                    f"{len(e[1])} learned values, at most {NUM_LEARNED}"
+                )
             entry = _VhtEntry(e[0])
             entry.values = list(e[1])
             entry.last_value = e[2]
@@ -261,5 +431,13 @@ class WangFranklinPredictor(ValuePredictor):
             entry.stride = e[4]
             entry.pattern = e[5]
             vht.append(entry)
+        valpht: list[list[int] | None] = []
+        for i, v in enumerate(state["valpht"]):
+            if v is not None and len(v) != NUM_SLOTS:
+                raise ValueError(
+                    f"WangFranklinPredictor snapshot ValPHT vector {i} has "
+                    f"{len(v)} slots, expected {NUM_SLOTS}"
+                )
+            valpht.append(None if v is None else list(v))
         self._vht = vht
-        self._valpht = [None if v is None else list(v) for v in state["valpht"]]
+        self._valpht = valpht

@@ -124,3 +124,52 @@ class TestStats:
         assert h.level_counts[MemLevel.MEMORY] == 0
         # contents survive
         assert h.l1.probe(0x80000)
+
+
+def contents(h):
+    """Every level's sets, each in LRU order, plus its occupancy."""
+    return [
+        ([list(s) for s in c._sets], c.occupancy) for c in (h.l1, h.l2, h.l3)
+    ]
+
+
+class TestPrefill:
+    """``prefill`` must leave exactly what ``store(a, 0)`` per address does."""
+
+    def check(self, addresses, setup=()):
+        by_store, by_prefill = make_hierarchy(), make_hierarchy()
+        for h in (by_store, by_prefill):
+            for addr in setup:
+                h.load(addr, 0x100, 0)
+        for addr in addresses:
+            by_store.store(addr, 0)
+        counters = [(c.hits, c.misses) for c in (by_prefill.l1, by_prefill.l2, by_prefill.l3)]
+        by_prefill.prefill(addresses)
+        assert contents(by_prefill) == contents(by_store)
+        # prefill skips the hit/miss counters
+        assert [(c.hits, c.misses) for c in (by_prefill.l1, by_prefill.l2, by_prefill.l3)] == counters
+
+    def test_cold_caches(self):
+        self.check(range(0x10000, 0x10000 + 64 * 500, 64))
+
+    def test_partly_filled_caches(self):
+        setup = range(0x20000, 0x20000 + 64 * 300, 64 * 3)
+        self.check(range(0x20000, 0x20000 + 64 * 400, 64), setup=setup)
+
+    def test_repeated_lines(self):
+        addrs = [0x30000 + 8 * (i % 40) for i in range(400)]
+        self.check(addrs + addrs[::-1], setup=[0x30000, 0x30040])
+
+    def test_conflict_evictions(self):
+        # one set of each level, far more lines than any level's ways
+        stride = 256 * 1024
+        addrs = [0x40000 + stride * i for i in range(40)]
+        self.check(addrs + addrs[5:15] + addrs[::3], setup=addrs[:4])
+
+    def test_random_mix(self):
+        import random
+
+        rng = random.Random(3)
+        setup = [rng.randrange(0, 1 << 22) for _ in range(2000)]
+        addrs = [rng.randrange(0, 1 << 22) for _ in range(20000)]
+        self.check(addrs, setup=setup)

@@ -1,8 +1,18 @@
 """Unit tests for the hybrid Wang-Franklin value predictor."""
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
 from repro.isa import InstructionBuilder
-from repro.vp import WangFranklinPredictor
-from repro.vp.wang_franklin import SLOT_ONE, SLOT_STRIDE, SLOT_ZERO
+from repro.vp import (
+    DfcmPredictor,
+    LastValuePredictor,
+    OraclePredictor,
+    StridePredictor,
+    WangFranklinPredictor,
+)
+from repro.vp.wang_franklin import NUM_LEARNED, SLOT_ONE, SLOT_STRIDE, SLOT_ZERO
 
 
 def loads(values, pc=0x1000):
@@ -150,3 +160,119 @@ class TestAliasing:
         train_seq(p, [9] * 20, pc=0x2000)
         assert p.predict(loads([5], pc=0x1000)[0]).value == 5
         assert p.predict(loads([9], pc=0x2000)[0]).value == 9
+
+
+def train_rounds(p, insts, n):
+    for _ in range(n):
+        for inst in insts:
+            p.train(inst, inst.value)
+
+
+#: PCs 4 bytes apart, so a 4-16 entry VHT maps several onto one index
+_pcs = st.integers(0, 40).map(lambda k: 0x1000 + 4 * k)
+#: small values hit the zero, one and stride slots; the 64-bit extremes
+#: wrap the stride arithmetic
+_values = st.one_of(
+    st.integers(0, 6),
+    st.sampled_from([100, 200, 300, (1 << 64) - 1, (1 << 64) - 2, -1]),
+)
+
+
+class TestReplay:
+    @given(
+        steps=st.lists(st.tuples(_pcs, _values), min_size=1, max_size=60),
+        n=st.integers(1, 41),
+        vht_entries=st.sampled_from([4, 8, 16, 4096]),
+        valpht_entries=st.sampled_from([1, 2, 8, 64, 32 * 1024]),
+        threshold=st.integers(0, 12),
+        penalty=st.integers(0, 8),
+        max_conf=st.integers(1, 32),
+        pattern_depth=st.integers(1, 3),
+        prefix=st.integers(0, 20),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_replay_equals_rounds_of_train(
+        self, steps, n, vht_entries, valpht_entries, threshold, penalty,
+        max_conf, pattern_depth, prefix,
+    ):
+        ib = InstructionBuilder()
+        insts = [ib.load(dst=1, addr=0x8000, value=v, pc=pc) for pc, v in steps]
+
+        def make():
+            p = WangFranklinPredictor(
+                vht_entries=vht_entries, valpht_entries=valpht_entries,
+                threshold=threshold, penalty=penalty, max_conf=max_conf,
+                pattern_depth=pattern_depth,
+            )
+            # start from trained tables, not only from cold ones
+            train_rounds(p, insts[:prefix], 1)
+            return p
+
+        trained, replayed = make(), make()
+        train_rounds(trained, insts, n)
+        replayed.replay(insts, n)
+        assert replayed.snapshot() == trained.snapshot()
+
+    def test_replay_of_a_workload_trace_equals_rounds_of_train(self):
+        from repro.isa import OpClass
+        from repro.workloads import get_workload
+
+        trace = get_workload("mcf").trace(length=3000, seed=1)
+        insts = [i for i in trace if i.op is OpClass.LOAD and i.value is not None]
+        trained, replayed = WangFranklinPredictor(), WangFranklinPredictor()
+        train_rounds(trained, insts, 41)
+        replayed.replay(insts, 41)
+        assert replayed.snapshot() == trained.snapshot()
+
+    @pytest.mark.parametrize(
+        "predictor", [LastValuePredictor, StridePredictor, DfcmPredictor, OraclePredictor]
+    )
+    @given(steps=st.lists(st.tuples(_pcs, _values), min_size=1, max_size=40),
+           n=st.integers(1, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_base_replay_equals_rounds_of_train(self, predictor, steps, n):
+        ib = InstructionBuilder()
+        insts = [ib.load(dst=1, addr=0x8000, value=v, pc=pc) for pc, v in steps]
+        trained, replayed = predictor(), predictor()
+        train_rounds(trained, insts, n)
+        replayed.replay(insts, n)
+        assert replayed.snapshot() == trained.snapshot()
+
+
+class TestRestoreValidation:
+    @staticmethod
+    def fresh():
+        return WangFranklinPredictor(vht_entries=16, valpht_entries=64)
+
+    def corrupt(self, table, edit):
+        """A trained snapshot with its first live ``table`` row edited."""
+        p = self.fresh()
+        train_seq(p, [3, 4, 5, 6, 7, 8, 9] * 3)
+        payload = p.snapshot()
+        rows = payload["state"][table]
+        i = next(i for i, row in enumerate(rows) if row is not None)
+        rows[i] = edit(rows[i])
+        return payload, i
+
+    def test_round_trip(self):
+        payload, _ = self.corrupt("vht", lambda e: e)
+        q = self.fresh()
+        q.restore(payload)
+        assert q.snapshot() == payload
+
+    def test_truncated_valpht_vector_is_rejected(self):
+        payload, i = self.corrupt("valpht", lambda v: v[:3])
+        with pytest.raises(ValueError, match=rf"ValPHT vector {i} has 3 slots"):
+            self.fresh().restore(payload)
+
+    def test_short_vht_entry_is_rejected(self):
+        payload, i = self.corrupt("vht", lambda e: e[:4])
+        with pytest.raises(ValueError, match=rf"VHT entry {i} has 4 fields"):
+            self.fresh().restore(payload)
+
+    def test_too_many_learned_values_are_rejected(self):
+        payload, i = self.corrupt(
+            "vht", lambda e: [e[0], list(range(NUM_LEARNED + 1)), *e[2:]]
+        )
+        with pytest.raises(ValueError, match=rf"VHT entry {i} holds 6 learned"):
+            self.fresh().restore(payload)
