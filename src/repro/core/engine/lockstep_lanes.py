@@ -224,9 +224,9 @@ class _LaneOpsMixin:
             )
         fetch = eng._fetch_groups[0]
         if n:
-            fetch._booked = {
-                int(self.last_fetch[lane]): int(self.fetch_cnt[lane])
-            }
+            fetch.set_booked(
+                [(int(self.last_fetch[lane]), int(self.fetch_cnt[lane]))]
+            )
         fetch.acquired += n
         self._rebuild_issue(eng._issue_groups[0], lane, n)
 
@@ -249,23 +249,23 @@ class _LaneOpsMixin:
         live = _np.flatnonzero(
             (tags >= int(self.last_fetch[lane])) & (row != 0)
         )
-        total_booked: dict[int, int] = {}
-        class_booked: list[dict[int, int]] = [{}, {}, {}]
+        total_counts: list[tuple[int, int]] = []
+        class_counts: list[list[tuple[int, int]]] = [[], [], []]
         for s in live:
             entry = int(row[s])
             cycle = entry >> _TAG_SHIFT
             count = (entry >> _TOTAL_SHIFT) & 255
             if count:
-                total_booked[cycle] = count
+                total_counts.append((cycle, count))
             for qi in range(3):
                 count = (entry >> _CLASS_SHIFT[qi]) & 255
                 if count:
-                    class_booked[qi][cycle] = count
-        ported._total._booked = total_booked
+                    class_counts[qi].append((cycle, count))
+        ported._total.set_booked(total_counts)
         ported._total.acquired += n
         for qi, name in enumerate(_QUEUES):
             alloc = ported._classes[name]
-            alloc._booked = class_booked[qi]
+            alloc.set_booked(class_counts[qi])
             alloc.acquired += self.q_acq[qi]
 
     def _compress(self, keep: list[int]) -> None:

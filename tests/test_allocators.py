@@ -41,6 +41,15 @@ class TestSlotAllocator:
             a.acquire(0)
         assert a.acquired == 5
 
+    def test_restore_rejects_counts_outside_capacity(self):
+        a = SlotAllocator(2)
+        a.acquire(3)
+        payload = a.snapshot()
+        for bad in (0, 3):
+            payload["booked"] = [[3, bad]]
+            with pytest.raises(ValueError, match="bookings in cycle 3"):
+                SlotAllocator(2).restore(payload)
+
     def test_pruning_keeps_recent_state(self):
         a = SlotAllocator(1)
         for t in range(0, 70000):

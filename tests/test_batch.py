@@ -29,8 +29,9 @@ from pathlib import Path
 import pytest
 
 import repro.core.engine.batch as batch
+import repro.core.engine.lockstep as lockstep
 from repro import _steady_state_footprint
-from repro.core import MachineConfig
+from repro.core import MachineConfig, SlotAllocator
 from repro.core.engine import Engine
 from repro.core.engine.batch import batchable, have_numpy, run_lockstep
 from repro.select import AlwaysSelector, IlpPredSelector
@@ -129,6 +130,45 @@ class TestDivergenceFallback:
         # mid-run and finished on the scalar engine
         assert all(s.spawns > 0 for s in batched)
         scalar = [e.run() for e in _build_engines(self.FX)]
+        assert [_canonical(a) for a in batched] == [
+            _canonical(b) for b in scalar
+        ]
+
+    @pytest.mark.skipif(not have_numpy(), reason="vector path needs numpy")
+    def test_full_rebuilt_cycle_is_skipped_after_fall_out(self, monkeypatch):
+        # gzip r lanes spawn at position 17 with their next issue cycle
+        # already at int-port (and total) capacity in the ring; the
+        # rebuilt scalar allocators must read those cycles as full
+        fx = {
+            "config": ["mtvp", {"threads": 8}], "lanes": 4, "length": 1500,
+            "predictor": "wang_franklin", "seed": 3, "selector": "always",
+            "workload": "gzip r",
+        }
+        full_cycles = []
+        original = lockstep._LockstepBatch._detach
+
+        def checking(self, lane, pos, spawned):
+            original(self, lane, pos, spawned)
+            if not spawned:
+                return
+            eng = self.engines[lane]
+            ported = eng._issue_groups[0]
+            for alloc in (
+                eng._fetch_groups[0], ported._total, *ported._classes.values()
+            ):
+                for cycle in list(alloc._booked):
+                    if alloc.booked_at(cycle) < alloc.capacity:
+                        continue
+                    # book on a copy: the lane's run goes on from here
+                    probe = SlotAllocator(alloc.capacity)
+                    probe._booked = dict(alloc._booked)
+                    assert probe.acquire(cycle) > cycle, (alloc.name, cycle)
+                    full_cycles.append((alloc.name, cycle))
+
+        monkeypatch.setattr(lockstep._LockstepBatch, "_detach", checking)
+        batched = run_lockstep(_build_engines(fx), verify="full")
+        assert {name for name, _ in full_cycles} >= {"issue-int", "issue-total"}
+        scalar = [e.run() for e in _build_engines(fx)]
         assert [_canonical(a) for a in batched] == [
             _canonical(b) for b in scalar
         ]

@@ -88,9 +88,13 @@ class TestGoldenDigests:
 
     def test_goldens_cover_every_mode(self):
         # one fixture per simulated mode family, so a regression in any
-        # mode-specific path cannot slip through unexercised
+        # mode-specific path cannot slip through unexercised; wide_window
+        # pins the 8192-entry window, whose same-cycle wakeup bursts are
+        # the only runs that skip long stretches of full issue cycles
         families = {fx["config"][0] for fx in GOLDEN.values()}
-        assert {"hpca05_baseline", "stvp", "mtvp", "spawn_only"} <= families
+        assert {
+            "hpca05_baseline", "stvp", "mtvp", "spawn_only", "wide_window"
+        } <= families
 
 
 class TestSchedulerEquivalence:

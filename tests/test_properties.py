@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.branch import TwoBcGskewPredictor, update_history
-from repro.core import MachineConfig, SlotAllocator
+from repro.core import MachineConfig, PortedIssue, SlotAllocator
 from repro.isa import Instruction, InstructionBuilder, OpClass
 from repro.memory import Cache, MemoryHierarchy, StoreBuffer
 from repro.select import AlwaysSelector
@@ -103,6 +103,73 @@ class TestStoreBufferProperties:
             assert hit.addr >> 3 == probe_addr >> 3
 
 
+class _ScanSlots:
+    """Reference model: the allocator as a plain count dict searched by a
+    linear walk over full cycles, pruned exactly like the real one."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.booked: dict[int, int] = {}
+
+    def peek(self, t: int) -> int:
+        cycle = t
+        while self.booked.get(cycle, 0) >= self.capacity:
+            cycle += 1
+        return cycle
+
+    def acquire(self, t: int) -> int:
+        cycle = self.peek(t)
+        self.booked[cycle] = self.booked.get(cycle, 0) + 1
+        if len(self.booked) > 1 << 16:
+            horizon = cycle - (1 << 14)
+            for c in [c for c in self.booked if c < horizon]:
+                del self.booked[c]
+        return cycle
+
+    def booked_at(self, t: int) -> int:
+        return self.booked.get(t, 0)
+
+
+class _ScanIssue:
+    """Reference model of PortedIssue: alternate class and total scans."""
+
+    def __init__(self, total: int, ports: dict[str, int]) -> None:
+        self.total = _ScanSlots(total)
+        self.classes = {name: _ScanSlots(cap) for name, cap in ports.items()}
+
+    def acquire(self, port: str, t: int) -> int:
+        cycle = t
+        while True:
+            cycle = self.classes[port].peek(cycle)
+            at = self.total.peek(cycle)
+            if at == cycle:
+                break
+            cycle = at
+        self.classes[port].acquire(cycle)
+        self.total.acquire(cycle)
+        return cycle
+
+
+def _assert_same_bookings(alloc: SlotAllocator, ref: _ScanSlots, cycles) -> None:
+    assert [alloc.booked_at(c) for c in cycles] == [
+        ref.booked_at(c) for c in cycles
+    ]
+
+
+#: ("acquire" | "peek", cycle, burst size): bursts book one cycle repeatedly
+slot_ops = st.lists(
+    st.tuples(st.sampled_from(["acquire", "peek"]), st.integers(0, 300),
+              st.integers(1, 40)),
+    min_size=1, max_size=60,
+)
+#: (port class or "peek-<class>", cycle, burst size)
+issue_ops = st.lists(
+    st.tuples(st.sampled_from(["int", "fp", "mem", "peek-int", "peek-mem"]),
+              st.integers(0, 200), st.integers(1, 30)),
+    min_size=1, max_size=60,
+)
+
+
 class TestAllocatorProperties:
     @given(st.lists(st.integers(0, 1000), min_size=1, max_size=200),
            st.integers(1, 8))
@@ -115,6 +182,73 @@ class TestAllocatorProperties:
             assert got >= t
             booked[got] = booked.get(got, 0) + 1
         assert all(count <= capacity for count in booked.values())
+
+    @given(slot_ops, st.integers(1, 8), st.integers(0, 60))
+    @settings(max_examples=80, deadline=None)
+    def test_slots_match_linear_scan(self, ops, capacity, cut):
+        """Every returned cycle and every count equal the linear scan's,
+        across a snapshot/restore at op ``cut``."""
+        alloc, ref = SlotAllocator(capacity), _ScanSlots(capacity)
+        for i, (kind, t, burst) in enumerate(ops):
+            if i == cut:
+                payload = alloc.snapshot()
+                assert payload["booked"] == [[c, n] for c, n in ref.booked.items()]
+                alloc = SlotAllocator(capacity)
+                alloc.restore(payload)
+            for _ in range(burst):
+                if kind == "peek":
+                    assert alloc.peek(t) == ref.peek(t)
+                else:
+                    assert alloc.acquire(t) == ref.acquire(t)
+        top = max(ref.booked, default=0) + 2
+        _assert_same_bookings(alloc, ref, range(top))
+
+    @given(issue_ops, st.integers(1, 8), st.integers(1, 4), st.integers(1, 3),
+           st.integers(0, 60))
+    @settings(max_examples=80, deadline=None)
+    def test_ported_issue_matches_linear_scan(self, ops, total, int_ports,
+                                              fp_ports, cut):
+        ports = {"int": int_ports, "fp": fp_ports, "mem": 2}
+        issue = PortedIssue(total, **{f"{k}_ports": v for k, v in ports.items()})
+        ref = _ScanIssue(total, ports)
+        for i, (kind, t, burst) in enumerate(ops):
+            if i == cut:
+                payload = issue.snapshot()
+                issue = PortedIssue(
+                    total, **{f"{k}_ports": v for k, v in ports.items()}
+                )
+                issue.restore(payload)
+            for _ in range(burst):
+                if kind.startswith("peek-"):
+                    port = kind[len("peek-"):]
+                    assert issue._classes[port].peek(t) == ref.classes[port].peek(t)
+                else:
+                    assert issue.acquire(kind, t) == ref.acquire(kind, t)
+        top = max(ref.total.booked, default=0) + 2
+        _assert_same_bookings(issue._total, ref.total, range(top))
+        for port, alloc in issue._classes.items():
+            _assert_same_bookings(alloc, ref.classes[port], range(top))
+
+    @given(st.lists(st.integers(-3000, 300), min_size=1, max_size=40))
+    @settings(max_examples=5, deadline=None)
+    def test_pruned_stream_matches_linear_scan(self, offsets):
+        """Past the 1 << 16 entry threshold both prune the same cycles,
+        and requests below the horizon read them as free alike."""
+        alloc, ref = SlotAllocator(2), _ScanSlots(2)
+        # bursts of 8 at every 4th cycle fill it and the 3 after it:
+        # runs of full cycles chained by forward pointers, 80000 in all
+        for i in range(160_000):
+            t = (i // 8) * 4
+            assert alloc.acquire(t) == ref.acquire(t)
+        assert alloc._booked.keys() == ref.booked.keys()
+        horizon = min(ref.booked)
+        assert horizon > 0
+        for off in offsets:
+            t = horizon + off
+            assert alloc.peek(t) == ref.peek(t)
+            assert alloc.acquire(t) == ref.acquire(t)
+        cycles = sorted({horizon + off + d for off in offsets for d in range(3)})
+        _assert_same_bookings(alloc, ref, cycles)
 
 
 class TestPredictorProperties:
