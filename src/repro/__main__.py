@@ -55,10 +55,10 @@ def _policy_from_args(args: argparse.Namespace, **extra):
     """An :class:`~repro.harness.ExecutionPolicy` from the execution flags.
 
     Every subcommand spells execution the same way (``--jobs``,
-    ``--lanes``, ``--dispatch``, ``--workers``, ``--retries``, plus the
+    ``--dispatch``, ``--workers``, ``--retries``, plus the
     cache/checkpoint/interval flags where they apply); a flag the
     subcommand doesn't define simply stays unset on the policy, so the
-    usual environment-variable defaults (``REPRO_JOBS``, ``REPRO_LANES``,
+    usual environment-variable defaults (``REPRO_JOBS``,
     ``REPRO_DISPATCH``, ``REPRO_WORKERS``, ``REPRO_CACHE_DIR``, ...) take
     over.  ``extra`` entries win over flag-derived fields; ``None`` extras
     are dropped (``False`` — cache off — is preserved).
@@ -66,7 +66,7 @@ def _policy_from_args(args: argparse.Namespace, **extra):
     from repro.harness import ExecutionPolicy
 
     fields = {}
-    for name in ("jobs", "lanes", "dispatch", "workers", "retries",
+    for name in ("jobs", "dispatch", "workers", "retries",
                  "warmup", "sample", "stale_after", "heartbeat"):
         value = getattr(args, name, None)
         if value is not None:
@@ -163,38 +163,6 @@ def _cmd_run_checkpoint(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run_lanes(args: argparse.Namespace, lanes: int) -> int:
-    """The ``run --lanes N`` path: N seed replicates, lane-batched.
-
-    Seeds ``seed .. seed+N-1`` simulate together through the vectorized
-    lockstep kernel (scalar fallback without numpy — results identical);
-    per-seed stats print individually, throughput reports as aggregate.
-    """
-    import time
-
-    from repro.harness.runner import simulate_batch
-
-    if args.trace or args.profile or args.checkpoint or args.restore:
-        print("--lanes cannot be combined with "
-              "--trace/--profile/--checkpoint/--restore")
-        return 1
-    session = _session_for(args, cache=False)
-    spec = session.spec()
-    seeds = list(range(args.seed, args.seed + lanes))
-    t0 = time.perf_counter()
-    results = simulate_batch(args.workload, spec, session.length, seeds)
-    wall = time.perf_counter() - t0
-    print(f"{args.workload} on {args.machine} ({args.threads} threads), "
-          f"{lanes} lanes (seeds {seeds[0]}..{seeds[-1]})")
-    for seed, stats in zip(seeds, results):
-        print(f"  seed {seed}: useful IPC {stats.useful_ipc:.3f}, "
-              f"cycles {stats.cycles}")
-    total = sum(s.instructions_stepped for s in results)
-    print(f"aggregate sim throughput: {total / wall / 1e3:.1f} kips "
-          f"({total} instructions in {wall:.2f}s across {lanes} lanes)")
-    return 0
-
-
 def _cmd_run_traces(args: argparse.Namespace) -> int:
     """The ``run --traces`` path: simulate ingested external trace files.
 
@@ -243,16 +211,11 @@ def _cmd_run_traces(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.harness import resolve_lanes
-
     if args.traces:
         return _cmd_run_traces(args)
     if args.workload is None:
         print("a workload name is required (or pass --traces FILE...)")
         return 1
-    lanes = resolve_lanes(args.lanes, group_size=1)
-    if lanes > 1:
-        return _cmd_run_lanes(args, lanes)
     if args.checkpoint or args.restore:
         return _cmd_run_checkpoint(args)
     tracer = None
@@ -623,7 +586,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         checkpoints=args.checkpoint_dir,
         policy=ExecutionPolicy(
             jobs=args.jobs,
-            lanes=args.lanes,
             dispatch=args.dispatch,
             workers=args.workers,
             retries=args.retries,
@@ -780,12 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
              "fast-forwarding (must match the workload and seed)",
     )
     p.add_argument(
-        "--lanes", type=int, default=None, metavar="N",
-        help="simulate N seed replicates (seeds SEED..SEED+N-1) together "
-             "through the lane-batched kernel and report aggregate "
-             "throughput (default: $REPRO_LANES or 1)",
-    )
-    p.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes for batch fan-out "
              "(0 = all cores; default: $REPRO_JOBS or serial)",
@@ -899,12 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "cache, else no checkpoint reuse)",
         )
         sp.add_argument(
-            "--lanes", default=None, metavar="N|auto",
-            help="coalesce seed replicates of each design point into one "
-                 "lane-batched simulation (auto = whole replicate "
-                 "groups; default: $REPRO_LANES or 1)",
-        )
-        sp.add_argument(
             "--dispatch", default=None,
             choices=["auto", "local", "pool", "workers"],
             help="execution backend: local (in-process serial), pool "
@@ -1001,11 +951,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "the result cache, else no checkpoint reuse)",
         )
         sp.add_argument(
-            "--lanes", default=None, metavar="N|auto",
-            help="coalesce seed replicates of each design point into one "
-                 "lane-batched simulation (default: $REPRO_LANES or 1)",
-        )
-        sp.add_argument(
             "--dispatch", default=None,
             choices=["auto", "local", "pool", "workers"],
             help="execution backend per rung drain (see 'sweep run "
@@ -1099,9 +1044,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes per sweep chunk (0 = all cores; "
                         "multiplies with --job-threads)")
-    p.add_argument("--lanes", default=None, metavar="N|auto",
-                   help="lane-batch seed replicates of each sweep point "
-                        "(default: $REPRO_LANES or 1)")
     p.add_argument("--dispatch", default=None,
                    choices=["auto", "local", "pool", "workers"],
                    help="sweep execution backend (see 'sweep run "

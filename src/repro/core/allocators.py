@@ -93,7 +93,7 @@ class SlotAllocator:
     def set_booked(self, counts: Iterable[tuple[int, int]]) -> None:
         """Replace every booking with ``(cycle, count)`` pairs.
 
-        The one way in for counts from outside (snapshots, lane batches):
+        The one way in for counts from outside (snapshots):
         full cycles become forward pointers here.
         """
         capacity = self.capacity

@@ -255,31 +255,6 @@ class Engine(
             c is not None and c.alive and c.runnable for c in self._contexts
         )
 
-    def timing_pristine(self) -> bool:
-        """True while no *timing* state has accumulated.
-
-        Fresh constructions and functionally-warmed engines
-        (:meth:`fast_forward`, ``warm_caches``) qualify — their caches and
-        predictor tables may hold architectural state, but no instruction
-        has booked a window slot, port cycle or deferred measure yet.  A
-        paused or checkpoint-restored run does not.  The lane-batched
-        kernel (:mod:`repro.core.engine.batch`) requires this: it attaches
-        to an engine by materializing its timing state as array rows, and
-        a pristine engine makes that initial state a constant.
-        """
-        if self._started or self._pending or self.store_buffer.total:
-            return False
-        root = self._contexts[0]
-        if root is None or root.rob or root.pending_measures:
-            return False
-        if any(self._rename_groups) or any(
-            heap for group in self._iq_groups for heap in group.values()
-        ):
-            return False
-        if any(alloc.acquired or alloc._booked for alloc in self._fetch_groups):
-            return False
-        return not any(ported.issued for ported in self._issue_groups)
-
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------

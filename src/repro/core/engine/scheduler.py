@@ -13,27 +13,6 @@ from __future__ import annotations
 NO_LIMIT = 1 << 62
 
 
-def lockstep_eligible(engine) -> bool:
-    """Whether scheduling ``engine`` degenerates to pure lockstep.
-
-    With exactly one runnable context and an empty pending-spawn heap,
-    both schedulers reduce to ``step(root)`` repeated until the trace
-    drains or a spawn lands — every scan picks the same sole candidate
-    and the loop keeps no state between iterations, so an external
-    driver (the lane-batched kernel) can replay that sequence and hand
-    the engine back mid-run with nothing lost.  Instrumented or
-    reference-scheduler runs are excluded: the probe hooks and
-    ``max_runnable_observed`` are per-step side effects the batched
-    replay does not reproduce.
-    """
-    if engine._obs is not None or engine.reference_scheduler:
-        return False
-    if engine._pending:
-        return False
-    live = [c for c in engine._contexts if c is not None and c.alive]
-    return len(live) == 1 and live[0].runnable and live[0] is engine._contexts[0]
-
-
 class SchedulerMixin:
     """Chooses which context steps next; drives the run to completion."""
 

@@ -49,10 +49,6 @@ class ExecutionModel:
         The engine runs one root context per entry of its trace list
         (the SMT co-schedule family); requires ``traces=`` at
         construction and disables functional fast-forward.
-    ``lockstep_safe``
-        The lane-batched lockstep kernel may replay this model's step
-        sequence.  Models that spawn outside the load-prediction path or
-        schedule several root contexts must opt out.
     ``context_priority``
         ``None``, or a method ``(ctx) -> int`` used as the scheduler's
         tie-break between contexts with equal time hints (smaller wins).
@@ -67,7 +63,6 @@ class ExecutionModel:
     spawn_on_branches: bool = False
     single_context: bool = False
     multi_program: bool = False
-    lockstep_safe: bool = True
     context_priority = None
 
     # ------------------------------------------------------------------

@@ -25,7 +25,6 @@ class SmtModel(ExecutionModel):
 
     key = "smt"
     multi_program = True
-    lockstep_safe = False
 
     def context_priority(self, ctx) -> int:
         # ICOUNT fairness: among contexts ready at the same cycle, favor

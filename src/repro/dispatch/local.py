@@ -12,8 +12,7 @@ class LocalDispatcher:
 
     ``jobs`` is forced to 1 — *local* means no process fan-out at all,
     which keeps tracebacks direct and checkpoint/cache counters exact
-    (the warmup audit path).  Lane batching still applies; it is a
-    kernel-shape choice, not a process one.
+    (the warmup audit path).
     """
 
     name = "local"

@@ -160,8 +160,6 @@ class WorkerDispatcher:
         ]
         if policy.jobs is not None:
             argv += ["--jobs", str(policy.jobs)]
-        if policy.lanes is not None:
-            argv += ["--lanes", str(policy.lanes)]
         if policy.chunk is not None:
             argv += ["--chunk", str(policy.chunk)]
         if cache_obj is not None:

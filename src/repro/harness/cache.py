@@ -110,12 +110,10 @@ def describe_factory(factory) -> object | None:
     return f"{module}.{qualname}"
 
 
-def _task_payload(workload_name: str, spec, length: int) -> dict | None:
-    """The seed-independent cache-identity payload of a simulation task.
+def task_key(workload_name: str, spec, length: int, seed: int) -> str | None:
+    """Cache key for one ``(workload, RunSpec, length, seed)`` simulation.
 
-    Everything about a ``(workload, RunSpec, length)`` combination except
-    the seed: the part every replicate of a lane group shares.  Returns
-    ``None`` when any ingredient cannot be described stably.
+    Returns ``None`` when any ingredient cannot be described stably.
     """
     predictor = describe_factory(spec.predictor_factory)
     selector = describe_factory(spec.selector_factory)
@@ -131,6 +129,7 @@ def _task_payload(workload_name: str, spec, length: int) -> dict | None:
         "predictor": predictor,
         "selector": selector,
         "length": length,
+        "seed": seed,
         "code": code_version(),
     }
     if getattr(spec, "observe", False):
@@ -145,35 +144,6 @@ def _task_payload(workload_name: str, spec, length: int) -> dict | None:
     sample = getattr(spec, "sample", None)
     if sample is not None:
         payload["sample"] = sample
-    return payload
-
-
-def task_key(workload_name: str, spec, length: int, seed: int) -> str | None:
-    """Cache key for one ``(workload, RunSpec, length, seed)`` simulation.
-
-    Returns ``None`` when any ingredient cannot be described stably.
-    """
-    payload = _task_payload(workload_name, spec, length)
-    if payload is None:
-        return None
-    payload["seed"] = seed
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def lane_group_key(workload_name: str, spec, length: int) -> str | None:
-    """Identity of a task's *lane group*: its cache key minus the seed.
-
-    Two tasks with equal lane-group keys are seed replicates of one
-    simulation recipe and may be coalesced into one batched lease through
-    :func:`~repro.harness.runner.simulate_batch`.  Cached results stay
-    keyed per seed via :func:`task_key`; this key only governs grouping.
-    Returns ``None`` when the recipe cannot be described stably (such
-    tasks never coalesce across distinct spec objects).
-    """
-    payload = _task_payload(workload_name, spec, length)
-    if payload is None:
-        return None
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -13,20 +13,11 @@ Caching composes with parallelism: tasks whose
 pending tasks are deduplicated by key within a batch, and fresh results
 are written back as workers complete.
 
-Lane batching composes with both: tasks that are seed replicates of one
-recipe (equal :func:`~repro.harness.cache.lane_group_key`) coalesce into
-lane groups of up to ``lanes`` tasks, each dispatched as **one** pool task
-that runs the whole group through the vectorized lockstep kernel
-(:func:`~repro.harness.runner.simulate_batch`).  Results stay per-seed:
-cache entries, progress events and the returned stats list are exactly
-those of the ungrouped run.
-
-Execution settings (jobs/lanes/cache/checkpoints) are one
-:class:`~repro.harness.policy.ExecutionPolicy` value; the historical
-per-keyword spellings survive as deprecation shims, and the resolvers
-(:func:`resolve_jobs`, :func:`resolve_lanes`, :func:`resolve_cache`) are
-re-exported from :mod:`repro.harness.policy`, where the ``REPRO_*``
-environment defaults are documented in one place.
+Execution settings (jobs/cache/checkpoints) are one
+:class:`~repro.harness.policy.ExecutionPolicy` value, and the resolvers
+(:func:`resolve_jobs`, :func:`resolve_cache`) are re-exported from
+:mod:`repro.harness.policy`, where the ``REPRO_*`` environment defaults
+are documented in one place.
 """
 
 from __future__ import annotations
@@ -34,21 +25,14 @@ from __future__ import annotations
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 from repro.core import SimStats
-from repro.harness.cache import ResultCache, lane_group_key, task_key
-from repro.harness.policy import (
-    UNSET,
-    ExecutionPolicy,
-    resolve_cache,
-    resolve_jobs,
-    resolve_lanes,
-)
+from repro.harness.cache import task_key
+from repro.harness.policy import ExecutionPolicy, resolve_cache, resolve_jobs
 
 __all__ = [
     "ExecutionPolicy",
     "SimulationError",
     "resolve_cache",
     "resolve_jobs",
-    "resolve_lanes",
     "run_simulations",
 ]
 
@@ -92,48 +76,27 @@ def _run_task(
     return spec.run(workload_name, length, seed, checkpoints=checkpoints)
 
 
-def _run_batch_task(
-    spec, workload_name: str, length: int, seeds: list, checkpoints=None
-) -> list[SimStats]:
-    """One lane group: one :class:`SimStats` per seed, in seed order.
+def _run_pooled(spec, workload_name: str, length: int, seed: int, ckpt_dir):
+    """Pool entry point: :func:`_run_task` against this worker's own store.
 
-    Bit-identical to running :func:`_run_task` once per seed.
-    """
-    from repro.harness.runner import simulate_batch
-
-    return simulate_batch(
-        workload_name, spec, length, seeds, checkpoints=checkpoints
-    )
-
-
-def _run_pooled(fn, spec, workload_name: str, length: int, seed, ckpt_dir):
-    """Pool entry point: ``fn`` against this worker's own store handle.
-
-    ``fn`` is :func:`_run_task` (``seed`` one seed) or
-    :func:`_run_batch_task` (``seed`` a lane group's seeds); both must
-    stay picklable.  ``ckpt_dir`` is the store's directory (paths pickle,
-    stores do not);
+    ``ckpt_dir`` is the store's directory (paths pickle, stores do not);
     the result comes back with the handle's ``(hits, misses, stores)`` so
     the parent can fold pooled checkpoint traffic into its own counters.
     """
     if ckpt_dir is None:
-        return fn(spec, workload_name, length, seed), (0, 0, 0)
+        return _run_task(spec, workload_name, length, seed), (0, 0, 0)
     from repro.harness.checkpoint import CheckpointStore
 
     store = CheckpointStore(ckpt_dir)
-    outcome = fn(spec, workload_name, length, seed, store)
+    outcome = _run_task(spec, workload_name, length, seed, store)
     return outcome, (store.hits, store.misses, store.stores)
 
 
 def run_simulations(
     tasks: list[Task],
-    jobs=UNSET,
-    cache=UNSET,
-    on_error: str = "raise",
-    checkpoints=UNSET,
-    progress=None,
-    lanes=UNSET,
     *,
+    on_error: str = "raise",
+    progress=None,
     policy: ExecutionPolicy | None = None,
 ) -> list[SimStats]:
     """Run every task, in parallel when ``jobs > 1``, consulting the cache.
@@ -141,18 +104,8 @@ def run_simulations(
     Args:
         tasks: ``(workload_name, spec, length, seed)`` tuples.
         policy: An :class:`~repro.harness.policy.ExecutionPolicy` bundling
-            jobs/lanes/cache/checkpoints; the preferred spelling.  Unset
-            fields defer to the environment (``REPRO_JOBS`` etc.).
-        jobs: Deprecated — worker processes (``policy.jobs``).
-        cache: Deprecated — result cache (``policy.cache``).
-        lanes: Deprecated — seed replicates coalesced per simulation lease
-            (``policy.lanes``; ``1`` = no coalescing, ``"auto"``/``0``
-            = whole replicate groups).  Tasks sharing a
-            :func:`~repro.harness.cache.lane_group_key` run together
-            through the lane-batched kernel; results are independent of
-            the grouping, exactly as they are of ``jobs``.
-        checkpoints: Deprecated — warmup-checkpoint store for warmed specs
-            (``policy.checkpoints``).
+            jobs/cache/checkpoints.  Unset fields defer to the environment
+            (``REPRO_JOBS`` etc.); no policy means ``ExecutionPolicy()``.
         on_error: ``"raise"`` (default) wraps the first task failure in a
             :class:`SimulationError` identifying the failing task and
             aborts the batch; ``"collect"`` instead places the
@@ -171,10 +124,8 @@ def run_simulations(
     """
     if on_error not in ("raise", "collect"):
         raise ValueError(f'on_error must be "raise" or "collect", not {on_error!r}')
-    policy = ExecutionPolicy.coalesce(
-        policy, "run_simulations",
-        jobs=jobs, cache=cache, checkpoints=checkpoints, lanes=lanes,
-    )
+    if policy is None:
+        policy = ExecutionPolicy()
 
     cache_obj = policy.resolved_cache()
     ckpt_store = policy.resolved_checkpoints()
@@ -249,90 +200,39 @@ def run_simulations(
         report(indices, "sim")
 
     pending = list(groups.values())
-    lane_cap = policy.resolved_lanes()
-
-    #: dispatch units: each batch is a list of key-groups; singleton
-    #: batches run the ordinary scalar task, longer ones one lane-batched
-    #: simulation covering every key-group's seed
-    batches: list[list[list[int]]] = []
-    if lane_cap != 1 and len(pending) > 1:
-        open_buckets: dict[object, list[list[int]]] = {}
-        for indices in pending:
-            workload_name, spec, length, seed = tasks[indices[0]]
-            try:
-                group = lane_group_key(workload_name, spec, length)
-            except Exception:
-                group = None
-            # an indescribable recipe still groups with itself: replicate
-            # fan-out reuses one spec object across seeds
-            bucket_id = (
-                group if group is not None else (id(spec), workload_name, length)
-            )
-            bucket = open_buckets.get(bucket_id)
-            if bucket is None or (lane_cap > 0 and len(bucket) >= lane_cap):
-                bucket = []
-                open_buckets[bucket_id] = bucket
-                batches.append(bucket)
-            bucket.append(indices)
-    else:
-        batches = [[indices] for indices in pending]
-
-    def finish_batch(batch: list[list[int]], outcome) -> None:
-        if len(batch) == 1:
-            finish(batch[0], outcome)
-        else:
-            for indices, stats in zip(batch, outcome):
-                finish(indices, stats)
-
-    if n_jobs > 1 and len(batches) > 1:
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(batches))) as pool:
+    if n_jobs > 1 and len(pending) > 1:
+        with ProcessPoolExecutor(max_workers=min(n_jobs, len(pending))) as pool:
             ckpt_dir = (
                 str(ckpt_store.directory) if ckpt_store is not None else None
             )
             futures = {}
-            for batch in batches:
-                workload_name, spec, length, seed = tasks[batch[0][0]]
-                if len(batch) == 1:
-                    future = pool.submit(
-                        _run_pooled, _run_task, spec, workload_name, length,
-                        seed, ckpt_dir,
-                    )
-                else:
-                    seeds = [tasks[indices[0]][3] for indices in batch]
-                    future = pool.submit(
-                        _run_pooled, _run_batch_task, spec, workload_name,
-                        length, seeds, ckpt_dir,
-                    )
-                futures[future] = batch
+            for indices in pending:
+                workload_name, spec, length, seed = tasks[indices[0]]
+                future = pool.submit(
+                    _run_pooled, spec, workload_name, length, seed, ckpt_dir
+                )
+                futures[future] = indices
             remaining = set(futures)
             while remaining:
                 done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
                 for future in done:
-                    batch = futures[future]
+                    indices = futures[future]
                     try:
-                        outcome, traffic = future.result()
+                        stats, traffic = future.result()
                     except Exception as exc:
-                        fail([i for indices in batch for i in indices], exc)
+                        fail(indices, exc)
                     else:
                         if ckpt_store is not None:
                             ckpt_store.add_traffic(*traffic)
-                        finish_batch(batch, outcome)
+                        finish(indices, stats)
     else:
-        for batch in batches:
-            workload_name, spec, length, seed = tasks[batch[0][0]]
+        for indices in pending:
+            workload_name, spec, length, seed = tasks[indices[0]]
             try:
-                if len(batch) == 1:
-                    outcome = _run_task(
-                        spec, workload_name, length, seed, ckpt_store
-                    )
-                else:
-                    seeds = [tasks[indices[0]][3] for indices in batch]
-                    outcome = _run_batch_task(
-                        spec, workload_name, length, seeds, ckpt_store
-                    )
+                stats = _run_task(spec, workload_name, length, seed, ckpt_store)
             except Exception as exc:
-                fail([i for indices in batch for i in indices], exc)
+                fail(indices, exc)
             else:
-                finish_batch(batch, outcome)
+                finish(indices, stats)
 
     return results  # type: ignore[return-value]

@@ -1,16 +1,12 @@
 """One execution-policy surface for every way the harness runs things.
 
-Before this module, execution concerns were threaded ad hoc as keyword
-arguments — ``jobs=`` through :func:`~repro.harness.parallel.
-run_simulations`, ``lanes=`` through :class:`~repro.harness.Session`,
-``retries=``/``stale_after=``/``heartbeat=`` through
-:func:`~repro.sweep.run_sweep`, ``cache=``/``checkpoints=`` through all
-of them — and adding a new dispatch mode meant touching every signature
-again.  :class:`ExecutionPolicy` bundles the full answer to *how should
-this work execute* into one value:
+:class:`ExecutionPolicy` bundles the full answer to *how should this
+work execute* into one value, which :func:`~repro.harness.parallel.
+run_simulations`, :class:`~repro.harness.Session`,
+:func:`~repro.sweep.run_sweep` and the campaign server all take as
+``policy=``:
 
 * ``jobs`` — worker processes per in-process fan-out,
-* ``lanes`` — seed replicates coalesced per lane-batched lease,
 * ``dispatch`` — ``"local"`` (serial in-process), ``"pool"``
   (ProcessPoolExecutor), ``"workers"`` (coordinator + standalone worker
   processes leasing rows from the sweep store), or ``"auto"``,
@@ -24,17 +20,12 @@ this work execute* into one value:
 
 Every field defaults to *unset* (``None``), which defers to the matching
 ``REPRO_*`` environment variable and then to the historical default, so
-``ExecutionPolicy()`` reproduces the old behaviour exactly.  The legacy
-keywords survive as deprecation shims (:meth:`ExecutionPolicy.coalesce`)
-that warn and fold into a policy — old and new spellings build identical
-task keys and identical results.
+``ExecutionPolicy()`` reproduces the old behaviour exactly.
 
 Environment defaults (one table, also in README):
 
 =======================  ====================================================
 ``REPRO_JOBS``           worker processes (unset/1 = serial, 0 = all cores)
-``REPRO_LANES``          lane-batched seed replicates (unset/1 = scalar,
-                         ``auto``/0 = whole replicate groups)
 ``REPRO_DISPATCH``       sweep dispatch mode (``local``/``pool``/``workers``)
 ``REPRO_WORKERS``        worker-process count for ``dispatch=workers``
 ``REPRO_CACHE_DIR``      result cache directory (unset = no caching)
@@ -49,15 +40,9 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
 from pathlib import Path
 
 from repro.harness.cache import ResultCache
-
-#: sentinel distinguishing "keyword not passed" from an explicit ``None``
-#: (``None`` is meaningful almost everywhere: it means "consult the
-#: environment")
-UNSET = type("_Unset", (), {"__repr__": lambda self: "<unset>"})()
 
 #: the legal dispatch modes, in escalation order
 DISPATCH_MODES = ("auto", "local", "pool", "workers")
@@ -69,23 +54,18 @@ def _env_text(name: str) -> str | None:
     return raw or None
 
 
-def _parse_count(value, *, what: str, auto: str | None = None) -> int:
-    """The one integer parser behind jobs/lanes/workers resolution.
+def _parse_count(value, *, what: str) -> int:
+    """The one integer parser behind jobs/workers resolution.
 
     ``value`` may be an int or a string (CLI flags and environment
-    variables arrive as text).  ``auto`` names an accepted magic word
-    (parsed as ``0``); errors always name the offending setting and the
-    rejected text.
+    variables arrive as text); errors always name the offending setting
+    and the rejected text.
     """
     if isinstance(value, str):
-        text = value.strip().lower()
-        if auto is not None and text == auto:
-            return 0
         try:
-            return int(text)
+            return int(value.strip())
         except ValueError:
-            accepted = f"an integer or \"{auto}\"" if auto else "an integer"
-            raise ValueError(f"{what} must be {accepted}, got {value!r}") from None
+            raise ValueError(f"{what} must be an integer, got {value!r}") from None
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
@@ -106,25 +86,6 @@ def resolve_jobs(jobs) -> int:
     if jobs <= 0:
         return os.cpu_count() or 1
     return jobs
-
-
-def resolve_lanes(lanes, group_size: int | None = None) -> int:
-    """Lane count: explicit ``lanes``, else ``$REPRO_LANES``, else 1.
-
-    ``"auto"`` (or ``0``, or any non-positive count) means "as many lanes
-    as the replicate group has seeds": with ``group_size`` given that
-    bound is returned, otherwise ``0`` — callers treat it as unbounded.
-    """
-    if lanes is None:
-        env = _env_text("REPRO_LANES")
-        if env is None:
-            return 1
-        lanes = _parse_count(env, what="REPRO_LANES (lane count)", auto="auto")
-    else:
-        lanes = _parse_count(lanes, what="lanes", auto="auto")
-    if lanes <= 0:
-        return group_size if group_size is not None else 0
-    return lanes
 
 
 def resolve_workers(workers) -> int:
@@ -208,7 +169,6 @@ class ExecutionPolicy:
     """
 
     jobs: int | None = None
-    lanes: int | str | None = None
     dispatch: object | None = None
     workers: int | None = None
     retries: int | None = None
@@ -223,9 +183,6 @@ class ExecutionPolicy:
     # ------------------------------------------------------------------
     def resolved_jobs(self) -> int:
         return resolve_jobs(self.jobs)
-
-    def resolved_lanes(self, group_size: int | None = None) -> int:
-        return resolve_lanes(self.lanes, group_size)
 
     def resolved_workers(self) -> int:
         return resolve_workers(self.workers)
@@ -267,29 +224,3 @@ class ExecutionPolicy:
         """
         updates = {k: v for k, v in overrides.items() if v is not None}
         return dataclasses.replace(self, **updates) if updates else self
-
-    @classmethod
-    def coalesce(cls, policy, api: str, **legacy) -> "ExecutionPolicy":
-        """Fold deprecated per-keyword arguments into one policy.
-
-        ``legacy`` values still carrying :data:`UNSET` were not passed;
-        anything else was, earns one :class:`DeprecationWarning` naming
-        the API and the keywords, and overrides the matching policy
-        field (explicit wins — the caller typed it).
-        """
-        given = {k: v for k, v in legacy.items() if v is not UNSET}
-        if given:
-            warnings.warn(
-                f"{api}: the {sorted(given)} keyword(s) are deprecated; "
-                f"pass policy=ExecutionPolicy(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        base = policy if policy is not None else cls()
-        if not isinstance(base, ExecutionPolicy):
-            raise TypeError(
-                f"policy must be an ExecutionPolicy, not {type(base).__name__}"
-            )
-        if given:
-            base = dataclasses.replace(base, **given)
-        return base

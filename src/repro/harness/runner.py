@@ -7,7 +7,7 @@ import os
 from typing import Callable
 
 from repro import select, simulate, vp
-from repro.core import Engine, MachineConfig, SimStats
+from repro.core import MachineConfig, SimStats
 from repro.harness.metrics import percent_speedup
 from repro.select import LoadSelector
 from repro.vp import ValuePredictor
@@ -34,14 +34,6 @@ def default_length() -> int:
         raise ValueError(
             f"REPRO_TRACE_LEN must be an integer trace length, got {env!r}"
         ) from None
-
-
-def __getattr__(name: str):
-    # keep the historical module constant importable without re-freezing
-    # the environment at import time
-    if name == "DEFAULT_LENGTH":
-        return default_length()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclasses.dataclass
@@ -180,86 +172,6 @@ def run_once(
         metrics=metrics,
         checkpoints=checkpoints,
     )
-
-
-def simulate_batch(
-    workload_name: str,
-    spec: RunSpec,
-    length: int | None = None,
-    seeds: tuple[int, ...] | list[int] = (0,),
-    checkpoints=None,
-) -> list[SimStats]:
-    """Run one spec on one workload for every seed, lane-batched.
-
-    The seed replicates are simulated together through the vectorized
-    lockstep kernel (:func:`repro.core.engine.batch.run_lockstep`) when
-    they qualify — same machine, single-context fast path, numpy
-    importable — and sequentially through the scalar engine otherwise.
-    Results are bit-identical either way and identical to ``[spec.run(w,
-    n, s) for s in seeds]``.
-
-    Observed specs (``observe=True``) always take the scalar path: probes
-    are per-step side effects the batched replay does not reproduce, and
-    the engine correctly refuses to batch them.  So do specs whose
-    execution model is not lockstep-safe (SMT co-schedules are multi-root
-    and need their per-context trace fan-out; SPMT spawns on branches,
-    which the lockstep kernel cannot replay) — routing them through
-    :meth:`RunSpec.run` keeps the multi-program trace construction in one
-    place.
-    """
-    from repro.core.engine.batch import run_lockstep
-    from repro.core.modes import resolve_model
-
-    n = length or default_length()
-    if (
-        len(seeds) < 2
-        or spec.observe
-        or not resolve_model(spec.config_factory().mode).lockstep_safe
-    ):
-        return [
-            spec.run(workload_name, n, s, checkpoints=checkpoints)
-            for s in seeds
-        ]
-    measured = spec.sample if spec.sample is not None else n
-    workload = get_workload(workload_name)
-    traces = workload.trace_many(spec.warmup + measured, seeds)
-    warm = None
-    engines = []
-    for seed, trace in zip(seeds, traces):
-        config = spec.config_factory()
-        if config.warm_caches and warm is None:
-            from repro import _steady_state_footprint
-
-            warm = _steady_state_footprint(workload, config)
-        engine = Engine(
-            trace,
-            config,
-            predictor=spec.predictor_factory(),
-            selector=spec.selector_factory(),
-            warm=False,
-        )
-        engine.warm_start(
-            warm,
-            spec.warmup,
-            checkpoints,
-            spec.checkpoint_key(workload_name, n, seed, checkpoints),
-        )
-        engines.append(engine)
-    return run_lockstep(engines)
-
-
-def run_simulation(
-    workload_name: str,
-    spec: RunSpec,
-    length: int | None = None,
-    seed: int = 0,
-) -> SimStats:
-    """Deprecated alias for :func:`run_once`.
-
-    Kept so older scripts keep importing; new code should go through
-    :class:`repro.harness.Session`.
-    """
-    return run_once(workload_name, spec, length=length, seed=seed)
 
 
 def compare_modes(

@@ -18,7 +18,7 @@ spends the expensive rungs only on them:
 * :mod:`~repro.search.controller` — the rung loop over the existing
   :class:`~repro.sweep.ResultStore`/:func:`~repro.sweep.drain_store`/
   Dispatcher machinery (inheriting resume, exactly-once commits,
-  ``--dispatch workers``, lanes and shared warmup checkpoints),
+  ``--dispatch workers`` and shared warmup checkpoints),
 * :mod:`~repro.search.report` — the explore/exploit report ("best point
   found with X% of exhaustive grid cost"),
 * :mod:`~repro.search.fidelity` — the search-vs-exhaustive judge used

@@ -44,7 +44,7 @@ from pathlib import Path
 from repro.harness.cache import ResultCache, task_key
 from repro.harness.checkpoint import CheckpointStore, resolve_checkpoints
 from repro.harness.export import result_to_dict
-from repro.harness.policy import UNSET, ExecutionPolicy, resolve_cache
+from repro.harness.policy import ExecutionPolicy, resolve_cache
 from repro.harness.runner import default_length
 from repro.harness.session import Session
 from repro.search.controller import run_search
@@ -97,21 +97,14 @@ class CampaignRunner:
         checkpoints: Shared warmup-checkpoint store (same resolution
             rules; defaults into ``state_dir`` too).
         policy: An :class:`~repro.harness.policy.ExecutionPolicy` with
-            the sweep execution settings (jobs/lanes/dispatch/workers/
-            retries, and the lease-liveness protocol).  Unset
-            ``stale_after``/``heartbeat`` default to 300 s / 10 s —
-            the server's worker threads share one store, so campaigns
-            must never run without a staleness window.
-        jobs: Deprecated — worker *processes* per sweep chunk
-            (``policy.jobs``; ``None`` = serial; this multiplies with
+            the sweep execution settings (jobs/dispatch/workers/retries,
+            and the lease-liveness protocol).  ``jobs`` (worker
+            processes per sweep chunk, unset = serial) multiplies with
             the server's worker threads, so keep the product near the
-            core count).
-        stale_after: Deprecated — staleness window in seconds
-            (``policy.stale_after``) so concurrent campaigns never steal
-            rows from live workers.
-        heartbeat: Deprecated — heartbeat period in seconds for claimed
-            rows (``policy.heartbeat``); must be well under
-            ``stale_after``.
+            core count.  Unset ``stale_after``/``heartbeat`` default to
+            300 s / 10 s: the server's worker threads share one store,
+            so campaigns must never run without a staleness window, and
+            the heartbeat must stay well under it.
     """
 
     def __init__(
@@ -119,9 +112,6 @@ class CampaignRunner:
         state_dir: str | Path | None = None,
         cache=None,
         checkpoints=None,
-        jobs=UNSET,
-        stale_after=UNSET,
-        heartbeat=UNSET,
         policy: ExecutionPolicy | None = None,
     ) -> None:
         if state_dir is None:
@@ -139,21 +129,15 @@ class CampaignRunner:
             resolved_ckpt if resolved_ckpt is not None
             else CheckpointStore(self.state_dir / "checkpoints")
         )
-        policy = ExecutionPolicy.coalesce(
-            policy, "CampaignRunner",
-            jobs=jobs, stale_after=stale_after, heartbeat=heartbeat,
-        )
+        if policy is None:
+            policy = ExecutionPolicy()
         if policy.stale_after is None:
             policy = policy.merged(stale_after=300.0)
         if policy.heartbeat is None:
             policy = policy.merged(heartbeat=10.0)
         self.policy = policy
 
-    # -- execution settings live on the policy; historical attribute views
-    @property
-    def jobs(self):
-        return self.policy.jobs
-
+    # -- lease-liveness settings live on the policy
     @property
     def stale_after(self) -> float:
         return self.policy.stale_after

@@ -114,7 +114,7 @@ def drain_store(
     Args:
         store: The shared results store.
         sweep: Sweep name (rows are keyed by it).
-        policy: Execution policy; ``jobs``/``lanes``/``cache``/
+        policy: Execution policy; ``jobs``/``cache``/
             ``checkpoints``/``retries``/``chunk``/``stale_after``/
             ``heartbeat`` are consumed here.
         mine: Restrict to these ``(point_id, seed)`` keys (``None`` =
@@ -148,7 +148,6 @@ def drain_store(
     #: how each chunk reaches run_simulations — resolved once, no shims
     run_policy = ExecutionPolicy(
         jobs=jobs,
-        lanes=policy.lanes,
         cache=cache_obj if cache_obj is not None else False,
         checkpoints=ckpt_store if ckpt_store is not None else False,
     )
@@ -231,8 +230,7 @@ def drain_store(
             batch = todo[start : start + take]
             candidates = []
             # one RunSpec object per design point within the chunk: seed
-            # replicates of a point then share their spec identity, which
-            # is what lets the lane batcher coalesce them into one lease
+            # replicates of a point reuse it instead of re-resolving it
             spec_memo: dict[str, object] = {}
             for row in batch:
                 key = (row["point_id"], row["seed"])

@@ -41,7 +41,7 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
-from repro.harness.policy import UNSET, ExecutionPolicy
+from repro.harness.policy import ExecutionPolicy
 from repro.sweep.drain import _Heartbeat, drain_store  # noqa: F401  (re-export)
 from repro.sweep.spec import SweepSpec
 from repro.sweep.store import ResultStore
@@ -114,31 +114,38 @@ def campaign_rows(spec: SweepSpec, max_points: int | None = None) -> list[dict]:
 def run_sweep(
     spec: SweepSpec,
     store: ResultStore,
-    jobs=UNSET,
-    cache=UNSET,
-    retries=UNSET,
-    max_points: int | None = None,
-    chunk=UNSET,
-    checkpoints=UNSET,
-    echo=None,
-    stale_after=UNSET,
-    heartbeat=UNSET,
-    progress=None,
-    lanes=UNSET,
     *,
     policy: ExecutionPolicy | None = None,
     dispatch=None,
     workers: int | None = None,
+    max_points: int | None = None,
+    echo=None,
+    progress=None,
 ) -> CampaignSummary:
     """Run (or resume) a sweep campaign; see the module docstring.
 
     Args:
         spec: The campaign description.
         store: The persistent results store (rows keyed by ``spec.name``).
-        policy: An :class:`~repro.harness.policy.ExecutionPolicy` — the
-            preferred spelling for every execution setting below.
-            ``retries`` defaults to ``spec.retries`` when the policy
-            leaves it unset.
+        policy: An :class:`~repro.harness.policy.ExecutionPolicy` holding
+            every execution setting.  ``retries`` (extra attempts per
+            failed row) defaults to ``spec.retries`` when the policy
+            leaves it unset.  A result ``cache`` is strongly recommended
+            for campaigns: it de-duplicates baselines across sweeps and
+            makes interrupted chunks free to recompute.  ``chunk`` (tasks
+            per commit batch) defaults to a multiple of ``jobs``; smaller
+            chunks tighten the resume granularity.  With ``checkpoints``,
+            the first point pays the warm start (and ``spec.warmup``
+            fast-forward) and every later point sharing its architectural
+            axes restores it; hit/store counts are echoed with the
+            summary.  ``stale_after`` is the number of seconds after which
+            a ``running`` claim with no heartbeat counts as crashed.
+            Unset, every running row is presumed stale, which is right
+            for resuming after a crash but unsafe when campaigns share a
+            store: concurrent callers must set a window, with
+            ``heartbeat`` (seconds between ``updated_at`` touches on
+            claimed rows) well under it.  The ``workers`` dispatch mode
+            always applies a window (default 60 s).
         dispatch: Where simulations execute: ``"local"`` (serial, this
             process), ``"pool"`` (process pool, this process),
             ``"workers"`` (standalone worker subprocesses leasing rows
@@ -152,46 +159,11 @@ def run_sweep(
         echo: Optional ``print``-like progress callback.
         progress: Optional callback receiving per-task progress dicts
             (see :func:`~repro.harness.parallel.run_simulations`).
-        jobs: Deprecated — worker processes per chunk (``policy.jobs``).
-        lanes: Deprecated — seed replicates coalesced per batched
-            simulation lease (``policy.lanes``; ``"auto"`` batches each
-            (point × seeds) replicate group into one lane-batched run).
-            Grouping never changes results — rows are still claimed,
-            cached and committed per seed.
-        cache: Deprecated — result cache (``policy.cache``); strongly
-            recommended for campaigns — it de-duplicates baselines across
-            sweeps and makes interrupted chunks free to recompute.
-        retries: Deprecated — extra attempts per failed row
-            (``policy.retries``).
-        chunk: Deprecated — tasks per commit batch (``policy.chunk``;
-            default scales with ``jobs``); smaller chunks tighten the
-            resume granularity.
-        checkpoints: Deprecated — warmup-checkpoint store for campaigns
-            with ``spec.warmup`` set (``policy.checkpoints``): the first
-            point pays the functional fast-forward, every later point
-            sharing its architectural axes restores it.  Hit/store
-            counts are echoed with the summary.
-        stale_after: Deprecated — seconds after which a ``running``
-            claim with no heartbeat counts as crashed and may be
-            re-claimed (``policy.stale_after``).  ``None`` (the
-            single-campaign default) keeps the historical behaviour —
-            every running row is presumed stale — which is correct for
-            resuming after a crash but unsafe when campaigns share a
-            store; concurrent callers must pass a window (and should run
-            with ``heartbeat`` well under it).  The ``workers`` dispatch
-            mode always applies a window (default 60 s).
-        heartbeat: Deprecated — seconds between ``updated_at`` touches
-            on claimed rows while a chunk simulates
-            (``policy.heartbeat``; ``None`` = no heartbeat).
     """
     from repro.dispatch import get_dispatcher
 
-    policy = ExecutionPolicy.coalesce(
-        policy, "run_sweep",
-        jobs=jobs, cache=cache, retries=retries, chunk=chunk,
-        checkpoints=checkpoints, stale_after=stale_after,
-        heartbeat=heartbeat, lanes=lanes,
-    )
+    if policy is None:
+        policy = ExecutionPolicy()
     policy = policy.merged(dispatch=dispatch, workers=workers)
     if policy.retries is None:
         policy = policy.merged(retries=spec.retries)

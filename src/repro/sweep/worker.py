@@ -48,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="total workers sharing the store (enables tail work-stealing)",
     )
     parser.add_argument("--jobs", default=None, help="processes per chunk")
-    parser.add_argument("--lanes", default=None, help="seed lanes per lease")
     parser.add_argument(
         "--retries", type=int, default=None,
         help="extra attempts per failed row",
@@ -93,7 +92,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     policy = ExecutionPolicy(
         jobs=args.jobs if args.jobs is not None else 1,
-        lanes=args.lanes,
         retries=args.retries,
         chunk=args.chunk,
         stale_after=args.stale_after,

@@ -41,13 +41,6 @@ _STREAM_SPACING = 1 << 32
 #: harness time without this
 _TRACE_MEMO_MAX = 8
 
-#: lane groups memoized per workload: a batched run asks for one trace
-#: per seed, and a group of N seeds overflows the per-trace memo above,
-#: so retries of a failed lane group would regenerate every trace.  The
-#: group memo pins whole (length, seeds) requests instead — small, since
-#: only the active campaign's group shape recurs
-_GROUP_MEMO_MAX = 2
-
 
 class _Slot:
     """One static instruction slot in the workload body."""
@@ -97,8 +90,6 @@ class Workload:
         #: generated traces memoized per (resolved length, seed); bounded
         #: so length sweeps cannot pin every trace ever generated
         self._trace_memo: dict[tuple[int, int], list[Instruction]] = {}
-        #: lane-group memo: (length, seeds) -> one trace per seed
-        self._group_memo: dict[tuple, list[list[Instruction]]] = {}
 
     # ------------------------------------------------------------------
     def _seed(self, salt: int) -> int:
@@ -318,24 +309,10 @@ class Workload:
     def trace_many(
         self, length: int | None, seeds: tuple[int, ...] | list[int]
     ) -> list[list[Instruction]]:
-        """One trace per seed, synthesized at most once per lane group.
-
-        The lane-batched runner replicates a design point over N seeds; the
-        per-trace memo holds only :data:`_TRACE_MEMO_MAX` entries, so a
-        group larger than that would regenerate every trace on a retry.
-        This memoizes the whole group under one key — a batched run (and
-        any retry of it) synthesizes each trace exactly once.
-        """
-        n = self.spec.default_length if length is None else length
-        key = (n, tuple(seeds))
-        cached = self._group_memo.get(key)
-        if cached is not None:
-            return cached
-        traces = [self.trace(n, seed=s) for s in seeds]
-        if len(self._group_memo) >= _GROUP_MEMO_MAX:
-            self._group_memo.pop(next(iter(self._group_memo)))
-        self._group_memo[key] = traces
-        return traces
+        """One trace per seed, in seed order."""
+        # no caller in the package; kept because the benchmark's span
+        # table wraps this method by name
+        return [self.trace(length, s) for s in seeds]
 
     def __repr__(self) -> str:
         return f"Workload({self.name!r}, suite={self.suite!r}, body={self.body_length})"

@@ -19,6 +19,7 @@ import pytest
 from repro.core import MachineConfig
 from repro.harness import (
     CheckpointStore,
+    ExecutionPolicy,
     ResultCache,
     RunSpec,
     arch_key,
@@ -216,7 +217,7 @@ class TestWarmedRuns:
         spec_b = warmed_spec(spawn_latency=64)
         run_simulations(
             [("mcf", spec_a, 4000, 0), ("mcf", spec_b, 4000, 0)],
-            jobs=1, cache=False, checkpoints=store,
+            policy=ExecutionPolicy(jobs=1, cache=False, checkpoints=store),
         )
         assert store.stores == 1 and store.hits == 1
 
@@ -284,8 +285,6 @@ class TestWarmStartCheckpoints:
 
 class TestDefaultStoreBesideCache:
     def test_policy_defaults_the_store_into_the_cache(self, tmp_path, monkeypatch):
-        from repro.harness import ExecutionPolicy
-
         monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         assert ExecutionPolicy().resolved_checkpoints() is None
@@ -303,7 +302,6 @@ class TestDefaultStoreBesideCache:
         assert env.directory == tmp_path / "env"
 
     def test_store_buffer_sweep_shares_warm_state(self, tmp_path):
-        from repro.harness import ExecutionPolicy
         from repro.sweep import (
             ResultStore, SweepSpec, aggregate, full_report, load_spec, run_sweep,
         )

@@ -28,6 +28,7 @@ import pytest
 from repro.core import SimStats
 from repro.harness.cache import ResultCache
 from repro.harness.checkpoint import CheckpointStore
+from repro.harness.policy import ExecutionPolicy
 from repro.sweep.store import ResultStore
 
 
@@ -554,8 +555,10 @@ class TestConcurrentSweeps:
             try:
                 with ResultStore(path) as store:
                     summaries[name] = run_sweep(
-                        spec, store, cache=cache,
-                        stale_after=30.0, heartbeat=1.0,
+                        spec, store,
+                        policy=ExecutionPolicy(
+                            cache=cache, stale_after=30.0, heartbeat=1.0
+                        ),
                     )
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)

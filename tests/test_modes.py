@@ -30,11 +30,7 @@ from repro.vp import OraclePredictor, WangFranklinPredictor
 from repro.workloads import TraceSet, get_workload
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_stats.json"
-GOLDEN = {
-    name: fx
-    for name, fx in json.loads(GOLDEN_PATH.read_text()).items()
-    if "lanes" not in fx
-}
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 PREDICTORS = {"wang_franklin": WangFranklinPredictor, "oracle": OraclePredictor}
 SELECTORS = {"ilp_pred": IlpPredSelector, "always": AlwaysSelector}
@@ -84,11 +80,6 @@ class TestRegistry:
         assert not resolve_model("smt").uses_value_prediction
         assert resolve_model("smt").multi_program
         assert resolve_model("spmt").spawn_on_branches
-        # the lane-batched lockstep kernel cannot replay either new model
-        assert not resolve_model("smt").lockstep_safe
-        assert not resolve_model("spmt").lockstep_safe
-        for key in ("baseline", "stvp", "spawn_only", "mtvp"):
-            assert resolve_model(key).lockstep_safe, key
 
     def test_single_context_models_clamp_config(self):
         cfg = MachineConfig(mode=SimMode.BASELINE, num_contexts=8)
@@ -108,25 +99,31 @@ class TestGoldenIdentity:
     def test_paper_mode_digest_unchanged(self, name):
         fx = GOLDEN[name]
         cname, kwargs = fx["config"]
-        config = getattr(MachineConfig, cname)(**kwargs)
         workload = get_workload(fx["workload"])
-        trace = workload.trace(length=fx["length"], seed=fx["seed"])
-        warm = (
-            _steady_state_footprint(workload, config)
-            if config.warm_caches
-            else None
-        )
-        engine = Engine(
-            trace,
-            config,
-            predictor=PREDICTORS[fx["predictor"]](),
-            selector=SELECTORS[fx["selector"]](),
-            warm_addresses=warm,
-        )
-        got = _canonical_stats(engine.run())
-        assert _digest(got) == fx["digest"], (
-            f"strategy-object refactor changed golden {name!r}"
-        )
+        # a replicate fixture pins one digest per seed from ``seed`` up
+        if "seeds" in fx:
+            runs = zip(range(fx["seed"], fx["seed"] + fx["seeds"]), fx["digests"])
+        else:
+            runs = [(fx["seed"], fx["digest"])]
+        for seed, digest in runs:
+            config = getattr(MachineConfig, cname)(**kwargs)
+            trace = workload.trace(length=fx["length"], seed=seed)
+            warm = (
+                _steady_state_footprint(workload, config)
+                if config.warm_caches
+                else None
+            )
+            engine = Engine(
+                trace,
+                config,
+                predictor=PREDICTORS[fx["predictor"]](),
+                selector=SELECTORS[fx["selector"]](),
+                warm_addresses=warm,
+            )
+            got = _canonical_stats(engine.run())
+            assert _digest(got) == digest, (
+                f"strategy-object refactor changed golden {name!r} at seed {seed}"
+            )
 
 
 class TestSmtCoSchedule:
@@ -284,34 +281,6 @@ class TestSpmt:
         assert "per_context" not in d
 
 
-class TestBatchingGuards:
-    def test_new_modes_refuse_the_lockstep_kernel(self):
-        from repro.core.engine.batch import batchable
-
-        trace = get_workload("mcf").trace(length=400)
-        spmt_engine = Engine(trace, MachineConfig.spmt(threads=4))
-        assert not batchable(spmt_engine)
-        smt_engine = Engine(
-            trace, MachineConfig.smt(programs=2), traces=[trace, trace]
-        )
-        assert not batchable(smt_engine)
-
-    def test_simulate_batch_falls_back_scalar_for_spmt(self):
-        from repro.harness.runner import RunSpec, simulate_batch
-
-        spec = RunSpec(
-            "spmt",
-            lambda: MachineConfig.spmt(threads=4),
-            predictor_factory="oracle",
-            selector_factory="always",
-        )
-        batched = simulate_batch("mcf", spec, length=800, seeds=(0, 1))
-        scalar = [spec.run("mcf", 800, s) for s in (0, 1)]
-        assert [_canonical_stats(b) for b in batched] == [
-            _canonical_stats(s) for s in scalar
-        ]
-
-
 class TestSweepAndServerSeams:
     def test_sweep_presets_for_new_modes(self):
         from repro.sweep.spec import run_spec_for
@@ -332,6 +301,7 @@ class TestSweepAndServerSeams:
     def test_checked_in_sweep_specs_smoke(self, spec_file, tmp_path):
         import dataclasses
 
+        from repro.harness import ExecutionPolicy
         from repro.sweep import ResultStore, load_spec, run_sweep
 
         spec = load_spec(
@@ -339,6 +309,8 @@ class TestSweepAndServerSeams:
         )
         spec = dataclasses.replace(spec, seeds=(0,), lengths=(1200,))
         with ResultStore(tmp_path / "s.db") as store:
-            summary = run_sweep(spec, store, cache=False, max_points=2)
+            summary = run_sweep(
+                spec, store, max_points=2, policy=ExecutionPolicy(cache=False)
+            )
         assert summary.done == summary.total > 0
         assert summary.failed == 0

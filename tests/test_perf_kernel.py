@@ -6,7 +6,9 @@ must match the straightforward pre-optimization engine.  These tests pin
 that contract down from three directions:
 
 * golden digests — full SimStats dicts captured from the pre-optimization
-  engine on fixed (workload, config, seed) points, one per SimMode;
+  engine on fixed (workload, config, seed) points, one per SimMode, plus
+  per-seed digests of four-seed replicate groups (the ``seeds_*``
+  fixtures);
 * a scheduler A/B test — the incremental scheduler against the reference
   ``min()``-over-runnable scheduler on a spawn-heavy multi-context run;
 * unit guards for the O(1)/amortized bookkeeping (cache occupancy,
@@ -31,13 +33,11 @@ from repro.vp import OraclePredictor, WangFranklinPredictor
 from repro.workloads import get_workload
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_stats.json"
-#: scalar fixtures only — entries carrying a "lanes" field describe
-#: lane-batched replicate groups and are exercised by tests/test_batch.py
-GOLDEN = {
-    name: fx
-    for name, fx in json.loads(GOLDEN_PATH.read_text()).items()
-    if "lanes" not in fx
-}
+FIXTURES = json.loads(GOLDEN_PATH.read_text())
+#: one run each: the full stats dict and its digest
+GOLDEN = {name: fx for name, fx in FIXTURES.items() if "stats" in fx}
+#: seed replicates: ``seeds`` runs from seed ``seed`` up, one digest each
+REPLICATES = {name: fx for name, fx in FIXTURES.items() if "seeds" in fx}
 
 PREDICTORS = {"wang_franklin": WangFranklinPredictor, "oracle": OraclePredictor}
 SELECTORS = {"ilp_pred": IlpPredSelector, "always": AlwaysSelector}
@@ -95,6 +95,25 @@ class TestGoldenDigests:
         assert {
             "hpca05_baseline", "stvp", "mtvp", "spawn_only", "wide_window"
         } <= families
+
+
+class TestSeedReplicates:
+    """Each seed of a replicate group reproduces its golden digest."""
+
+    @pytest.mark.parametrize("name", sorted(REPLICATES))
+    def test_each_seed_matches_golden(self, name):
+        fx = REPLICATES[name]
+        seeds = range(fx["seed"], fx["seed"] + fx["seeds"])
+        assert len(fx["digests"]) == len(seeds)
+        for seed, digest in zip(seeds, fx["digests"]):
+            _engine, stats = _run_fixture({**fx, "seed": seed})
+            assert _digest(_canonical_stats(stats)) == digest, (
+                f"stats diverged from golden {name!r} at seed {seed}"
+            )
+
+    def test_replicate_goldens_cover_every_mode(self):
+        families = {fx["config"][0] for fx in REPLICATES.values()}
+        assert {"hpca05_baseline", "stvp", "mtvp", "spawn_only"} <= families
 
 
 class TestSchedulerEquivalence:
@@ -210,15 +229,8 @@ class TestThroughputLayer:
         committed = load_bench(Path(__file__).parent.parent / "BENCH_engine.json")
         assert committed is not None, "BENCH_engine.json missing at repo root"
         assert committed["schema"] == 1
-        scalar = {p["name"] for p in committed["points"] if "lanes" not in p}
-        assert scalar == set(PRE_OPT_REFERENCE_IPS)
-        # lane-batched points carry the aggregate/per-lane split and must
-        # never have shipped with a failed batched-vs-scalar identity
-        for p in committed["points"]:
-            if "lanes" in p:
-                assert p["lanes"] > 1
-                assert p["kips_per_lane"] <= p["kips"]
-                assert p["digests_match"] is True
+        names = {p["name"] for p in committed["points"]}
+        assert names == set(PRE_OPT_REFERENCE_IPS)
 
     def test_cli_profile_writes_loadable_profile(self, tmp_path, capsys):
         from repro.__main__ import main

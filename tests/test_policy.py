@@ -1,13 +1,12 @@
-"""The ExecutionPolicy surface: resolvers, merging, deprecation shims.
+"""The ExecutionPolicy surface: resolvers, merging, one spelling.
 
-The API-redesign contract (DESIGN.md §5i): every entry point —
+The API contract (DESIGN.md §5i): every entry point —
 :class:`~repro.harness.Session`, :func:`~repro.harness.run_simulations`,
 :func:`~repro.sweep.run_sweep`, :class:`~repro.serve.api.CampaignRunner`
-— accepts ``policy=ExecutionPolicy(...)`` as the preferred spelling of
-its execution settings, the old per-keyword spellings keep working
-behind a :class:`DeprecationWarning`, and **old and new spellings are
-observationally identical**: same task keys (so caches warmed under one
-spelling serve the other) and same results.
+— takes its execution settings as ``policy=ExecutionPolicy(...)`` and
+nothing else, and **entry points that spell one request differently are
+observationally identical**: same task keys (so a cache warmed through
+one serves the other) and same results.
 """
 
 from __future__ import annotations
@@ -19,11 +18,9 @@ import pytest
 from repro.harness.cache import task_key
 from repro.harness.policy import (
     DISPATCH_MODES,
-    UNSET,
     ExecutionPolicy,
     resolve_dispatch,
     resolve_jobs,
-    resolve_lanes,
     resolve_workers,
 )
 
@@ -55,25 +52,6 @@ class TestResolveJobs:
     def test_bool_is_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             resolve_jobs(True)
-
-
-class TestResolveLanes:
-    def test_unset_without_env_is_scalar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LANES", raising=False)
-        assert resolve_lanes(None) == 1
-
-    def test_auto_means_whole_group(self):
-        assert resolve_lanes("auto", group_size=5) == 5
-        assert resolve_lanes("auto") == 0  # unbounded without a group
-
-    def test_env_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LANES", "auto")
-        assert resolve_lanes(None, group_size=3) == 3
-
-    def test_garbage_names_the_setting(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LANES", "wide")
-        with pytest.raises(ValueError, match=r"REPRO_LANES.*'wide'"):
-            resolve_lanes(None)
 
 
 class TestResolveWorkers:
@@ -118,12 +96,11 @@ class TestResolveDispatch:
 
 class TestExecutionPolicy:
     def test_blank_policy_reproduces_historical_defaults(self, monkeypatch):
-        for var in ("REPRO_JOBS", "REPRO_LANES", "REPRO_DISPATCH",
+        for var in ("REPRO_JOBS", "REPRO_DISPATCH",
                     "REPRO_WORKERS", "REPRO_CACHE_DIR"):
             monkeypatch.delenv(var, raising=False)
         policy = ExecutionPolicy()
         assert policy.resolved_jobs() == 1
-        assert policy.resolved_lanes() == 1
         assert policy.resolved_workers() == 2
         assert policy.resolved_dispatch() == "local"
         assert policy.resolved_cache() is None
@@ -147,45 +124,16 @@ class TestExecutionPolicy:
         with pytest.raises(dataclasses.FrozenInstanceError):
             ExecutionPolicy().jobs = 9  # type: ignore[misc]
 
-    def test_coalesce_without_legacy_kwargs_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            policy = ExecutionPolicy.coalesce(
-                ExecutionPolicy(jobs=2), "api", jobs=UNSET, cache=UNSET
-            )
-        assert policy.jobs == 2
-
-    def test_coalesce_warns_naming_api_and_keywords(self):
-        with pytest.warns(DeprecationWarning, match=r"api:.*'cache'.*'jobs'"):
-            policy = ExecutionPolicy.coalesce(
-                None, "api", jobs=3, cache=False, lanes=UNSET
-            )
-        assert policy.jobs == 3
-        assert policy.cache is False
-        assert policy.lanes is None
-
-    def test_coalesce_explicit_keyword_beats_policy_field(self):
-        with pytest.warns(DeprecationWarning):
-            policy = ExecutionPolicy.coalesce(
-                ExecutionPolicy(jobs=8), "api", jobs=1
-            )
-        assert policy.jobs == 1
-
-    def test_coalesce_rejects_non_policy(self):
-        with pytest.raises(TypeError, match="ExecutionPolicy"):
-            ExecutionPolicy.coalesce({"jobs": 2}, "api")
-
 
 class TestDeprecationShims:
-    """Every entry point: legacy keywords warn, policy= does not."""
+    """The deprecated per-keyword spellings are gone: every entry point
+    rejects them outright, and ``policy=`` is the one silent spelling."""
 
-    def test_session_legacy_keywords_warn(self):
+    def test_session_legacy_keywords_rejected(self):
         from repro.harness import Session
 
-        with pytest.warns(DeprecationWarning, match=r"Session:.*'jobs'"):
-            session = Session(jobs=2, cache=False)
-        assert session.policy.jobs == 2
-        assert session.policy.cache is False
+        with pytest.raises(TypeError, match="jobs"):
+            Session(jobs=2)
 
     def test_session_policy_spelling_is_silent(self):
         from repro.harness import Session
@@ -195,27 +143,31 @@ class TestDeprecationShims:
             session = Session(policy=ExecutionPolicy(jobs=2, cache=False))
         assert session.policy.jobs == 2
 
-    def test_run_simulations_legacy_keywords_warn(self):
+    def test_run_simulations_legacy_keywords_rejected(self):
         from repro.harness import run_simulations
 
-        with pytest.warns(DeprecationWarning, match=r"run_simulations:"):
+        with pytest.raises(TypeError, match="jobs"):
             run_simulations([], jobs=1)
 
-    def test_run_sweep_legacy_keywords_warn(self, tmp_path):
+    def test_run_sweep_legacy_keywords_rejected(self, tmp_path):
         from repro.sweep import ResultStore, run_sweep
-        from repro.sweep.spec import SweepSpec
 
         spec = _tiny_spec("shim")
         with ResultStore(tmp_path / "s.db") as store:
-            with pytest.warns(DeprecationWarning, match=r"run_sweep:.*'jobs'"):
-                summary = run_sweep(spec, store, jobs=1, cache=False)
-        assert summary.complete
+            with pytest.raises(TypeError, match="cache"):
+                run_sweep(spec, store, cache=False)
+            # nor may the old positional slots smuggle them in
+            with pytest.raises(TypeError):
+                run_sweep(spec, store, 1)
 
-    def test_campaign_runner_legacy_keywords_warn(self, tmp_path):
+    def test_campaign_runner_legacy_keywords_rejected(self, tmp_path):
         from repro.serve.api import CampaignRunner
 
-        with pytest.warns(DeprecationWarning, match=r"CampaignRunner:"):
-            runner = CampaignRunner(state_dir=tmp_path, jobs=2)
+        with pytest.raises(TypeError, match="jobs"):
+            CampaignRunner(state_dir=tmp_path, jobs=2)
+        runner = CampaignRunner(
+            state_dir=tmp_path, policy=ExecutionPolicy(jobs=2)
+        )
         assert runner.policy.jobs == 2
         # the lease-liveness defaults survive the policy rewrite
         assert runner.stale_after == 300.0
@@ -237,61 +189,64 @@ def _tiny_spec(name: str):
 
 
 class TestOldNewEquivalence:
-    """Old and new spellings: identical task keys, identical results."""
+    """One request spelled two ways: identical task keys, identical results."""
 
     def test_task_keys_are_identical_across_spellings(self):
-        from repro.harness import Session
+        """A Session's policy warmup/sample and a RunSpec's own fields
+        describe the same interval protocol, so they share a key."""
+        from repro.core import MachineConfig
+        from repro.harness import RunSpec, Session
 
-        with pytest.warns(DeprecationWarning):
-            legacy = Session(
-                predictor="wang-franklin", length=400,
-                jobs=2, cache=False, warmup=100, sample=200,
-            )
-        modern = Session(
+        session = Session(
             predictor="wang-franklin", length=400,
             policy=ExecutionPolicy(jobs=2, cache=False,
                                    warmup=100, sample=200),
         )
-        key_legacy = task_key("mcf", legacy.spec(), legacy.length, 0)
-        key_modern = task_key("mcf", modern.spec(), modern.length, 0)
-        assert key_legacy == key_modern
+        direct = RunSpec(
+            "direct", MachineConfig.hpca05_baseline,
+            predictor_factory="wang-franklin", warmup=100, sample=200,
+        )
+        key_session = task_key("mcf", session.spec(), session.length, 0)
+        key_direct = task_key("mcf", direct, 400, 0)
+        assert key_session == key_direct
 
     def test_results_and_cache_are_shared_across_spellings(self, tmp_path):
-        """A cache warmed by the legacy spelling serves the policy
-        spelling without a single new simulation — the strongest form of
-        'same task keys'."""
-        from repro.harness import ResultCache, Session
+        """A cache warmed through a Session serves ``run_simulations`` on
+        the same recipe without a single new simulation — the strongest
+        form of 'same task keys'."""
+        from repro.harness import ResultCache, Session, run_simulations
 
         cache = ResultCache(tmp_path / "cache")
-        with pytest.warns(DeprecationWarning):
-            legacy = Session(predictor="wang-franklin", length=400,
-                             cache=cache, jobs=1)
-        stats_legacy = legacy.run_many(["mcf", "crafty"])
+        policy = ExecutionPolicy(cache=cache, jobs=1)
+        session = Session(predictor="wang-franklin", length=400, policy=policy)
+        stats_session = session.run_many(["mcf", "crafty"])
         misses_after_fill = cache.misses
 
-        modern = Session(predictor="wang-franklin", length=400,
-                         policy=ExecutionPolicy(cache=cache, jobs=1))
-        stats_modern = modern.run_many(["mcf", "crafty"])
+        spec = session.spec()
+        tasks = [(w, spec, 400, 0) for w in ("mcf", "crafty")]
+        stats_direct = run_simulations(tasks, policy=policy)
         assert cache.misses == misses_after_fill, (
-            "the policy spelling missed a cache entry the legacy "
-            "spelling wrote — task keys diverged")
-        for a, b in zip(stats_legacy, stats_modern):
+            "run_simulations missed a cache entry the Session wrote — "
+            "task keys diverged")
+        for a, b in zip(stats_session, stats_direct):
             assert a.cycles == b.cycles
             assert a.useful_ipc == b.useful_ipc
 
     def test_run_sweep_spellings_agree(self, tmp_path):
-        """One campaign per spelling, separate stores: byte-identical
-        reports."""
+        """``dispatch=`` as a keyword and as a policy field: one campaign
+        per spelling, separate stores, byte-identical reports."""
         from repro.sweep import ResultStore, aggregate, full_report, run_sweep
 
         spec = _tiny_spec("equiv")
-        with ResultStore(tmp_path / "old.db") as store:
-            with pytest.warns(DeprecationWarning):
-                run_sweep(spec, store, jobs=1, cache=False, retries=0)
-            rows_old = store.rows("equiv")
-        with ResultStore(tmp_path / "new.db") as store:
+        with ResultStore(tmp_path / "kw.db") as store:
             run_sweep(spec, store,
-                      policy=ExecutionPolicy(jobs=1, cache=False, retries=0))
-            rows_new = store.rows("equiv")
-        assert full_report("equiv", aggregate(rows_old)) == \
-            full_report("equiv", aggregate(rows_new))
+                      policy=ExecutionPolicy(cache=False, retries=0),
+                      dispatch="local")
+            rows_kw = store.rows("equiv")
+        with ResultStore(tmp_path / "policy.db") as store:
+            run_sweep(spec, store,
+                      policy=ExecutionPolicy(jobs=1, cache=False, retries=0,
+                                             dispatch="local"))
+            rows_policy = store.rows("equiv")
+        assert full_report("equiv", aggregate(rows_kw)) == \
+            full_report("equiv", aggregate(rows_policy))

@@ -22,7 +22,13 @@ import pytest
 
 from repro import MachineConfig, select, vp
 from repro.core import SimStats
-from repro.harness import ConfigFactory, ResultCache, Session, run_simulation
+from repro.harness import (
+    ConfigFactory,
+    ExecutionPolicy,
+    ResultCache,
+    Session,
+    run_once,
+)
 from repro.harness.cache import describe_factory, task_key
 from repro.memory import MemLevel
 
@@ -86,7 +92,7 @@ class TestConfigFactory:
 
 class TestSession:
     def test_defaults_run_baseline(self):
-        stats = Session(length=1200, cache=False).run("mcf")
+        stats = Session(length=1200, policy=ExecutionPolicy(cache=False)).run("mcf")
         assert stats.cycles > 0
         assert not stats.extended
 
@@ -95,13 +101,17 @@ class TestSession:
             Session(MachineConfig.mtvp(4))
 
     def test_run_many_matches_run(self):
-        s = Session(length=1200, cache=False)
+        s = Session(length=1200, policy=ExecutionPolicy(cache=False))
         assert s.run_many(["mcf"])[0] == s.run("mcf")
 
     def test_observe_fills_extended(self):
         s = Session(
-            config=MachineConfig.mtvp(8), predictor="wang-franklin",
-            selector="always", length=1500, cache=False, observe=True,
+            config=MachineConfig.mtvp(8),
+            predictor="wang-franklin",
+            selector="always",
+            length=1500,
+            observe=True,
+            policy=ExecutionPolicy(cache=False),
         )
         stats = s.run("mcf")
         assert stats.extended["metrics"]["histograms"]["rob_occupancy"][
@@ -110,12 +120,16 @@ class TestSession:
 
     def test_observe_keys_cache_separately(self, tmp_path):
         cache = ResultCache(tmp_path)
-        plain = Session(length=1200, cache=cache).run("mcf")
-        observed = Session(length=1200, cache=cache, observe=True).run("mcf")
+        plain = Session(length=1200, policy=ExecutionPolicy(cache=cache)).run("mcf")
+        observed = Session(
+            length=1200, observe=True, policy=ExecutionPolicy(cache=cache)
+        ).run("mcf")
         assert not plain.extended and observed.extended
         assert cache.stores == 2  # distinct keys, no aliasing
         # repeating either hits the cache and preserves its shape
-        again = Session(length=1200, cache=cache, observe=True).run("mcf")
+        again = Session(
+            length=1200, observe=True, policy=ExecutionPolicy(cache=cache)
+        ).run("mcf")
         assert cache.hits >= 1
         assert again.extended == observed.extended
 
@@ -125,8 +139,12 @@ class TestSession:
         cache = ResultCache(tmp_path)
         tracer = Tracer()
         s = Session(
-            config=MachineConfig.mtvp(8), predictor="wang-franklin",
-            selector="always", length=1500, cache=cache, tracer=tracer,
+            config=MachineConfig.mtvp(8),
+            predictor="wang-franklin",
+            selector="always",
+            length=1500,
+            tracer=tracer,
+            policy=ExecutionPolicy(cache=cache),
         )
         stats = s.run("mcf")
         assert len(tracer) > 0
@@ -144,10 +162,12 @@ class TestSession:
         spec = Session(predictor="wang-franklin", selector="ilp-pred").spec()
         assert task_key("mcf", spec, 1000, 0) is not None
 
-    def test_run_simulation_shim(self):
+    def test_run_once_matches_session(self):
         spec = Session(length=1200).spec()
-        stats = run_simulation("mcf", spec, 1200, 0)
-        assert stats == Session(length=1200, cache=False).run("mcf")
+        stats = run_once("mcf", spec, 1200, 0)
+        assert stats == Session(
+            length=1200, policy=ExecutionPolicy(cache=False)
+        ).run("mcf")
 
 
 class TestStatsSchema:
@@ -170,9 +190,8 @@ class TestStatsSchema:
     def test_golden_fixture_stats_load_unchanged(self):
         golden = json.loads(GOLDEN_PATH.read_text())
         for name, fx in golden.items():
-            if "lanes" in fx:
-                # lane-batched fixtures record per-lane digests, not a
-                # stats dict; tests/test_batch.py exercises them
+            if "stats" not in fx:
+                # seed-replicate fixtures pin digests only
                 continue
             stats = SimStats.from_dict(fx["stats"])
             assert not stats.extended
