@@ -1,13 +1,16 @@
 """Shared configuration for the reproduction benchmarks.
 
 Each benchmark module regenerates one table or figure from the paper
-(DESIGN.md §4 maps them).  ``REPRO_TRACE_LEN`` scales the dynamic trace
-length per simulation; the default keeps the full suite in the
-tens-of-minutes range on a laptop while preserving every figure shape.
-Raise it (e.g. 30000) for smoother numbers.
+by running its sweep spec under ``sweeps/paper/`` through
+``repro.harness.run_experiment`` (DESIGN.md §4 maps them).
+``REPRO_TRACE_LEN`` scales the dynamic trace length per simulation; the
+default keeps the full suite in the tens-of-minutes range on a laptop
+while preserving every figure shape.  Raise it (e.g. 30000) for smoother
+numbers.
 
-The experiment harness underneath honours two more environment knobs
-(resolved in :mod:`repro.harness.parallel`, no per-test plumbing needed):
+The campaign underneath honours two more environment knobs through its
+default :class:`~repro.harness.ExecutionPolicy` (no per-test plumbing
+needed):
 
 * ``REPRO_JOBS`` — fan simulations out over N worker processes
   (``0`` = all cores; unset = serial, so benchmark timings stay
@@ -24,7 +27,7 @@ import os
 BENCH_LENGTH = int(os.environ.get("REPRO_TRACE_LEN", "8000"))
 
 #: worker processes the harness fans out over for these benchmarks
-#: (informational — the harness resolves REPRO_JOBS itself when jobs=None)
+#: (informational — the default policy resolves REPRO_JOBS itself)
 BENCH_JOBS = int(os.environ.get("REPRO_JOBS", "1") or 1)
 
 

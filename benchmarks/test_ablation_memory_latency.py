@@ -6,14 +6,16 @@ single-threaded value prediction saturates at the window bound while
 threaded value prediction keeps scaling.
 """
 
-from repro.harness import ablation_memory_latency
+from repro.harness import run_experiment
 
 from benchmarks.conftest import BENCH_LENGTH, emit
 
 
 def test_ablation_memory_latency(benchmark):
     result = benchmark.pedantic(
-        lambda: ablation_memory_latency(length=BENCH_LENGTH), rounds=1, iterations=1
+        lambda: run_experiment("ablation-latency", length=BENCH_LENGTH),
+        rounds=1,
+        iterations=1,
     )
     emit(result)
     rows = {r["memory latency"]: r for r in result.rows}

@@ -7,14 +7,16 @@ thread count and far exceeds STVP; FP benefits more from MTVP than from
 STVP by a wide margin; cache-resident benchmarks see roughly nothing.
 """
 
-from repro.harness import fig1_oracle_potential
+from repro.harness import run_experiment
 
 from benchmarks.conftest import BENCH_LENGTH, emit
 
 
 def test_fig1_oracle_potential(benchmark):
     result = benchmark.pedantic(
-        lambda: fig1_oracle_potential(length=BENCH_LENGTH), rounds=1, iterations=1
+        lambda: run_experiment("fig1", length=BENCH_LENGTH),
+        rounds=1,
+        iterations=1,
     )
     emit(result)
     s = result.summary

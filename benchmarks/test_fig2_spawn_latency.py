@@ -5,14 +5,16 @@ finds the technique "only somewhat sensitive": still strong at 8 cycles,
 and FP retains most of its advantage even at 16.
 """
 
-from repro.harness import fig2_spawn_latency
+from repro.harness import run_experiment
 
 from benchmarks.conftest import BENCH_LENGTH, emit
 
 
 def test_fig2_spawn_latency(benchmark):
     result = benchmark.pedantic(
-        lambda: fig2_spawn_latency(length=BENCH_LENGTH), rounds=1, iterations=1
+        lambda: run_experiment("fig2", length=BENCH_LENGTH),
+        rounds=1,
+        iterations=1,
     )
     emit(result)
     rows = {(r["spawn latency"], r["suite"]): r for r in result.rows}

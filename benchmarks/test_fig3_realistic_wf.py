@@ -5,14 +5,16 @@
 eight threads", with some benchmarks negative due to mispredictions.
 """
 
-from repro.harness import fig3_realistic_wf
+from repro.harness import run_experiment
 
 from benchmarks.conftest import BENCH_LENGTH, emit
 
 
 def test_fig3_realistic_wf(benchmark):
     result = benchmark.pedantic(
-        lambda: fig3_realistic_wf(length=BENCH_LENGTH), rounds=1, iterations=1
+        lambda: run_experiment("fig3", length=BENCH_LENGTH),
+        rounds=1,
+        iterations=1,
     )
     emit(result)
     s = result.summary

@@ -6,14 +6,16 @@ execution resources swamps any gains made by maximizing forward progress
 in the case of incorrect predictions."
 """
 
-from repro.harness import fig4_fetch_policy
+from repro.harness import run_experiment
 
 from benchmarks.conftest import BENCH_LENGTH, emit
 
 
 def test_fig4_fetch_policy(benchmark):
     result = benchmark.pedantic(
-        lambda: fig4_fetch_policy(length=BENCH_LENGTH), rounds=1, iterations=1
+        lambda: run_experiment("fig4", length=BENCH_LENGTH),
+        rounds=1,
+        iterations=1,
     )
     emit(result)
     s = result.summary

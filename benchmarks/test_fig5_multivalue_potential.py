@@ -7,14 +7,16 @@ another, with some having as much as 25% of their loads being good
 candidates for multiple predictions."
 """
 
-from repro.harness import fig5_multivalue_potential
+from repro.harness import run_experiment
 
 from benchmarks.conftest import BENCH_LENGTH, emit
 
 
 def test_fig5_multivalue_potential(benchmark):
     result = benchmark.pedantic(
-        lambda: fig5_multivalue_potential(length=BENCH_LENGTH), rounds=1, iterations=1
+        lambda: run_experiment("fig5", length=BENCH_LENGTH),
+        rounds=1,
+        iterations=1,
     )
     emit(result)
     fractions = [r["fraction"] for r in result.rows]

@@ -7,14 +7,16 @@ parallelism must be *created* (vpr, mcf); spawn-only is "quite ineffective
 alone".
 """
 
-from repro.harness import fig6_wide_window
+from repro.harness import run_experiment
 
 from benchmarks.conftest import BENCH_LENGTH, emit
 
 
 def test_fig6_wide_window(benchmark):
     result = benchmark.pedantic(
-        lambda: fig6_wide_window(length=BENCH_LENGTH), rounds=1, iterations=1
+        lambda: run_experiment("fig6", length=BENCH_LENGTH),
+        rounds=1,
+        iterations=1,
     )
     emit(result)
     rows = {r["suite"]: r for r in result.rows}

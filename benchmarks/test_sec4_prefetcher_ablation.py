@@ -5,14 +5,16 @@ is greater and more consistent ... the mechanisms appear to be highly
 complementary."
 """
 
-from repro.harness import sec4_prefetcher_ablation
+from repro.harness import run_experiment
 
 from benchmarks.conftest import BENCH_LENGTH, emit
 
 
 def test_sec4_prefetcher_ablation(benchmark):
     result = benchmark.pedantic(
-        lambda: sec4_prefetcher_ablation(length=BENCH_LENGTH), rounds=1, iterations=1
+        lambda: run_experiment("sec4", length=BENCH_LENGTH),
+        rounds=1,
+        iterations=1,
     )
     emit(result)
     rows = {(r["prefetcher"], r["suite"]): r for r in result.rows}

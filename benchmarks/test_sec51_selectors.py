@@ -5,14 +5,16 @@ unimplementable perfect load miss oracle" (on average), and naive
 always-predict is worse than either.
 """
 
-from repro.harness import sec51_selectors
+from repro.harness import run_experiment
 
 from benchmarks.conftest import BENCH_LENGTH, emit
 
 
 def test_sec51_selectors(benchmark):
     result = benchmark.pedantic(
-        lambda: sec51_selectors(length=BENCH_LENGTH), rounds=1, iterations=1
+        lambda: run_experiment("sec5.1", length=BENCH_LENGTH),
+        rounds=1,
+        iterations=1,
     )
     emit(result)
     rows = {r["suite"]: r for r in result.rows}

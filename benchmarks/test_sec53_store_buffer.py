@@ -5,14 +5,16 @@
 simulate."
 """
 
-from repro.harness import sec53_store_buffer
+from repro.harness import run_experiment
 
 from benchmarks.conftest import BENCH_LENGTH, emit
 
 
 def test_sec53_store_buffer(benchmark):
     result = benchmark.pedantic(
-        lambda: sec53_store_buffer(length=BENCH_LENGTH), rounds=1, iterations=1
+        lambda: run_experiment("sec5.3", length=BENCH_LENGTH),
+        rounds=1,
+        iterations=1,
     )
     emit(result)
     rows = {r["store buffer"]: r for r in result.rows}

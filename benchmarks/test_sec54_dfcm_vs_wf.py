@@ -5,14 +5,16 @@ predictor ... it is in general a more aggressive predictor — making more
 correct predictions and more incorrect predictions."
 """
 
-from repro.harness import sec54_dfcm_vs_wf
+from repro.harness import run_experiment
 
 from benchmarks.conftest import BENCH_LENGTH, emit
 
 
 def test_sec54_dfcm_vs_wf(benchmark):
     result = benchmark.pedantic(
-        lambda: sec54_dfcm_vs_wf(length=BENCH_LENGTH), rounds=1, iterations=1
+        lambda: run_experiment("sec5.4", length=BENCH_LENGTH),
+        rounds=1,
+        iterations=1,
     )
     emit(result)
     # The mechanism the paper reports, which the model reproduces exactly:

@@ -6,14 +6,16 @@ outperforming their single value multithreaded value prediction speedups
 of less than 1% and 14%."
 """
 
-from repro.harness import sec56_multivalue
+from repro.harness import run_experiment
 
 from benchmarks.conftest import BENCH_LENGTH, emit
 
 
 def test_sec56_multivalue(benchmark):
     result = benchmark.pedantic(
-        lambda: sec56_multivalue(length=BENCH_LENGTH), rounds=1, iterations=1
+        lambda: run_experiment("sec5.6", length=BENCH_LENGTH),
+        rounds=1,
+        iterations=1,
     )
     emit(result)
     rows = {r["workload"]: r for r in result.rows}

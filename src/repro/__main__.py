@@ -27,6 +27,7 @@ registered there is immediately drivable from the command line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from repro import MachineConfig, select, vp
@@ -258,17 +259,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.harness import ResultCache, default_cache_dir
     from repro.obs import format_metrics
 
-    if args.no_cache:
-        cache = False
-    else:
-        try:
-            cache = ResultCache(args.cache_dir or default_cache_dir())
-        except OSError as exc:
-            print(f"cannot use cache directory: {exc}")
-            return 1
+    try:
+        cache = _resolve_cli_cache(args)
+    except OSError as exc:
+        print(f"cannot use cache directory: {exc}")
+        return 1
     session = _session_for(args, observe=True, cache=cache)
     stats = session.run(args.workload)
     print(f"{args.workload} on {args.machine} ({args.threads} threads), "
@@ -279,21 +276,25 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.harness import EXPERIMENTS, ResultCache, default_cache_dir
+    from repro.harness import EXPERIMENTS, run_experiment
     from repro.harness.export import result_to_csv, result_to_json
 
     if args.id not in EXPERIMENTS:
         print(f"unknown experiment {args.id!r}; known: {', '.join(EXPERIMENTS)}")
         return 1
-    if args.no_cache:
-        cache = False
-    else:
-        try:
-            cache = ResultCache(args.cache_dir or default_cache_dir())
-        except OSError as exc:
-            print(f"cannot use cache directory: {exc}")
-            return 1
-    result = EXPERIMENTS[args.id](length=args.length, jobs=args.jobs, cache=cache)
+    try:
+        cache = _resolve_cli_cache(args)
+    except OSError as exc:
+        print(f"cannot use cache directory: {exc}")
+        return 1
+    try:
+        result = run_experiment(
+            args.id, length=args.length,
+            policy=_policy_from_args(args, cache=cache), echo=print,
+        )
+    except (RuntimeError, ValueError) as exc:  # failed rows, malformed length
+        print(exc)
+        return 1
     print(result.format_table())
     if args.json:
         result_to_json(result, args.json)
@@ -317,10 +318,11 @@ def _sweep_spec_and_store(args: argparse.Namespace):
     from repro.sweep import ResultStore, default_db_path, load_spec
 
     spec = load_spec(args.spec)
+    # replace() re-runs the spec's validation on the overridden fields
     if getattr(args, "seeds", None):
-        spec.seeds = tuple(range(args.seeds))
+        spec = dataclasses.replace(spec, seeds=args.seeds)
     if getattr(args, "length", None):
-        spec.lengths = (args.length,)
+        spec = dataclasses.replace(spec, lengths=(args.length,))
     store = ResultStore(args.db or default_db_path(args.spec))
     return spec, store
 

@@ -36,7 +36,7 @@ class Dispatcher(Protocol):
     :class:`~repro.harness.policy.ExecutionPolicy`, and the campaign's
     row scope / interval protocol, and must return a counter dict with
     at least the keys :func:`~repro.sweep.drain.drain_store` produces
-    (``simulated``/``retried``/``lost``/``shed``/``ckpt_*``).
+    (``simulated``/``retried``/``lost``/``shed``/``ckpt_*``/``cache_*``).
     """
 
     def run(

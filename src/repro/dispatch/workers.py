@@ -241,16 +241,15 @@ class WorkerDispatcher:
         totals = {
             "simulated": 0, "retried": 0, "lost": 0, "shed": 0,
             "ckpt_enabled": 0, "ckpt_hits": 0, "ckpt_stores": 0,
+            "cache_enabled": 0, "cache_hits": 0, "cache_misses": 0,
             "workers": self.spawned,
         }
         for worker in finished:
             counters = worker.counters()
             if counters is None:
                 continue  # killed before its summary line: counts lost
-            for key in (
-                "simulated", "retried", "lost", "shed",
-                "ckpt_enabled", "ckpt_hits", "ckpt_stores",
-            ):
+            for key in totals.keys() - {"workers"}:
                 totals[key] += int(counters.get(key, 0))
         totals["ckpt_enabled"] = int(bool(totals["ckpt_enabled"]))
+        totals["cache_enabled"] = int(bool(totals["cache_enabled"]))
         return totals

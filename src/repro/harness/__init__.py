@@ -1,10 +1,11 @@
 """Experiment harness: reproduces every table and figure of the paper.
 
 Each experiment in :mod:`repro.harness.experiments` regenerates one
-artifact from the evaluation section (see DESIGN.md §4 for the index).
-Results come back as structured objects with ``format_table()`` for
-human-readable output; the benchmark suite under ``benchmarks/`` drives
-them through pytest-benchmark.
+artifact from the evaluation section (see DESIGN.md §4 for the index)
+by running its sweep spec under ``sweeps/paper/``.  Results come back as
+structured objects with ``format_table()`` for human-readable output;
+the benchmark suite under ``benchmarks/`` drives them through
+pytest-benchmark.
 """
 
 from repro.harness.bench import (
@@ -18,6 +19,7 @@ from repro.harness.bench import (
     write_bench,
 )
 from repro.harness.export import (
+    ExperimentResult,
     load_result_json,
     result_to_csv,
     result_to_dict,
@@ -43,29 +45,12 @@ from repro.harness.policy import (
     resolve_jobs,
     resolve_workers,
 )
-from repro.harness.runner import (
-    ModeResult,
-    RunSpec,
-    compare_modes,
-    default_length,
-    run_once,
-)
+from repro.harness.runner import RunSpec, default_length, run_once
 from repro.harness.session import ConfigFactory, Session
 from repro.harness.experiments import (
     EXPERIMENTS,
-    ExperimentResult,
-    ablation_memory_latency,
-    fig1_oracle_potential,
-    fig2_spawn_latency,
-    fig3_realistic_wf,
-    fig4_fetch_policy,
-    fig5_multivalue_potential,
-    fig6_wide_window,
-    sec4_prefetcher_ablation,
-    sec51_selectors,
-    sec53_store_buffer,
-    sec54_dfcm_vs_wf,
-    sec56_multivalue,
+    load_experiment,
+    run_experiment,
 )
 
 __all__ = [
@@ -88,22 +73,14 @@ __all__ = [
     "Session",
     "SimulationError",
     "TABLE1_POINTS",
-    "ablation_memory_latency",
-    "ModeResult",
     "ResultCache",
     "RunSpec",
-    "compare_modes",
     "default_cache_dir",
     "default_length",
-    "fig1_oracle_potential",
-    "fig2_spawn_latency",
-    "fig3_realistic_wf",
-    "fig4_fetch_policy",
-    "fig5_multivalue_potential",
-    "fig6_wide_window",
     "format_bench",
     "geomean_speedup",
     "load_bench",
+    "load_experiment",
     "load_result_json",
     "percent_speedup",
     "result_to_csv",
@@ -111,15 +88,11 @@ __all__ = [
     "result_to_json",
     "stats_to_dict",
     "run_bench",
+    "run_experiment",
     "run_once",
     "run_point",
     "run_simulations",
     "trace_point",
-    "sec4_prefetcher_ablation",
     "task_key",
-    "sec51_selectors",
-    "sec53_store_buffer",
-    "sec54_dfcm_vs_wf",
-    "sec56_multivalue",
     "write_bench",
 ]

@@ -1,18 +1,62 @@
-"""Export experiment results and run statistics to JSON/CSV.
+"""Experiment results as tables, and their export to JSON/CSV.
 
-Downstream users typically want machine-readable outputs next to the
-pretty tables; these helpers keep that path dependency-free.
+:class:`ExperimentResult` is the table the paper figures and the sweep
+reports render; downstream users typically want machine-readable outputs
+next to the pretty tables, and these helpers keep that path
+dependency-free.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 from pathlib import Path
 
 from repro.core import SimStats
-from repro.harness.experiments import ExperimentResult
+
+
+@dataclasses.dataclass
+class ExperimentResult:
+    """Structured output of one reproduced experiment."""
+
+    experiment_id: str
+    title: str
+    columns: list[str]
+    rows: list[dict]
+    summary: dict
+
+    def format_table(self) -> str:
+        """Render the rows as a fixed-width ASCII table."""
+        widths = {
+            c: max(len(c), *(len(format_cell(r.get(c))) for r in self.rows))
+            if self.rows
+            else len(c)
+            for c in self.columns
+        }
+        header = "  ".join(c.ljust(widths[c]) for c in self.columns)
+        lines = [self.title, "=" * len(header), header, "-" * len(header)]
+        for row in self.rows:
+            lines.append(
+                "  ".join(format_cell(row.get(c)).ljust(widths[c]) for c in self.columns)
+            )
+        if self.summary:
+            lines.append("-" * len(header))
+            for key, value in self.summary.items():
+                lines.append(f"{key}: {format_cell(value)}")
+        return "\n".join(lines)
+
+
+def format_cell(value) -> str:
+    """One table cell: signed floats at a precision fit for percentages."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        if 0 < abs(value) < 1:
+            return f"{value:+.3f}"
+        return f"{value:+.1f}" if abs(value) < 1000 else f"{value:.3g}"
+    return str(value)
 
 
 def stats_to_dict(stats: SimStats) -> dict:

@@ -1,4 +1,4 @@
-"""Run descriptions and the multi-configuration comparison driver."""
+"""Run descriptions: one named machine recipe, run on one workload."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from typing import Callable
 
 from repro import select, simulate, vp
 from repro.core import MachineConfig, SimStats
-from repro.harness.metrics import percent_speedup
 from repro.select import LoadSelector
 from repro.vp import ValuePredictor
 from repro.workloads import get_workload
@@ -29,11 +28,14 @@ def default_length() -> int:
     if not env:
         return _FALLBACK_LENGTH
     try:
-        return int(env)
+        length = int(env)
     except ValueError:
+        length = 0
+    if length < 1:
         raise ValueError(
-            f"REPRO_TRACE_LEN must be an integer trace length, got {env!r}"
-        ) from None
+            f"REPRO_TRACE_LEN must be a positive integer trace length, got {env!r}"
+        )
+    return length
 
 
 @dataclasses.dataclass
@@ -124,23 +126,6 @@ class RunSpec:
         return arch_key(workload_name, seed, self.warmup, self, length)
 
 
-@dataclasses.dataclass
-class ModeResult:
-    """Per-workload outcome of one configuration against the baseline."""
-
-    workload: str
-    suite: str
-    mode: str
-    ipc: float
-    base_ipc: float
-    stats: SimStats
-
-    @property
-    def speedup_percent(self) -> float:
-        """Percent useful-IPC improvement over the baseline machine."""
-        return percent_speedup(self.ipc, self.base_ipc)
-
-
 def run_once(
     workload_name: str,
     spec: RunSpec,
@@ -172,73 +157,3 @@ def run_once(
         metrics=metrics,
         checkpoints=checkpoints,
     )
-
-
-def compare_modes(
-    workload_names: tuple[str, ...],
-    specs: list[RunSpec],
-    length: int | None = None,
-    seed: int = 0,
-    baseline: RunSpec | None = None,
-    jobs=None,
-    cache=None,
-    *,
-    policy=None,
-) -> dict[str, list[ModeResult]]:
-    """Run every spec on every workload against a common baseline.
-
-    All ``(workload, spec)`` simulations — including the shared baseline —
-    are independent, so they are dispatched as one batch through
-    :func:`~repro.harness.parallel.run_simulations`, which fans out over
-    ``policy.jobs`` worker processes and serves repeats from
-    ``policy.cache``.  Results are identical to a serial, uncached run
-    for the same seed.
-
-    Args:
-        policy: An :class:`~repro.harness.policy.ExecutionPolicy`; unset
-            fields defer to the environment (``$REPRO_JOBS`` default
-            serial, ``0`` every core; ``$REPRO_CACHE_DIR`` default off).
-        jobs/cache: Convenience spellings folded into ``policy`` (they
-            win over it when both are given).
-
-    Returns a mapping from spec name to its per-workload results, in the
-    order of ``workload_names``.
-    """
-    from repro.harness.parallel import run_simulations
-    from repro.harness.policy import ExecutionPolicy
-
-    base = policy if policy is not None else ExecutionPolicy()
-    base = base.merged(jobs=jobs, cache=cache)
-
-    n = length or default_length()
-    base_spec = baseline if baseline is not None else RunSpec(
-        "baseline", MachineConfig.hpca05_baseline
-    )
-    tasks = [(name, base_spec, n, seed) for name in workload_names]
-    for spec in specs:
-        tasks.extend((name, spec, n, seed) for name in workload_names)
-    all_stats = run_simulations(tasks, policy=base)
-
-    base_ipc = {
-        name: stats.useful_ipc
-        for name, stats in zip(workload_names, all_stats[: len(workload_names)])
-    }
-    results: dict[str, list[ModeResult]] = {}
-    offset = len(workload_names)
-    for spec in specs:
-        rows = []
-        for j, name in enumerate(workload_names):
-            stats = all_stats[offset + j]
-            rows.append(
-                ModeResult(
-                    workload=name,
-                    suite=get_workload(name).suite,
-                    mode=spec.name,
-                    ipc=stats.useful_ipc,
-                    base_ipc=base_ipc[name],
-                    stats=stats,
-                )
-            )
-        offset += len(workload_names)
-        results[spec.name] = rows
-    return results

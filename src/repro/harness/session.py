@@ -23,13 +23,13 @@ Quickstart::
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from repro.core import MachineConfig, SimStats
 from repro.harness.bench import TABLE1_POINTS, BenchPoint, run_bench
 from repro.harness.parallel import run_simulations
 from repro.harness.policy import ExecutionPolicy
-from repro.harness.runner import ModeResult, RunSpec, compare_modes, default_length
+from repro.harness.runner import RunSpec, default_length
 
 
 class ConfigFactory:
@@ -168,27 +168,6 @@ class Session:
         spec = self.spec()
         tasks = [(workload, spec, self.length, s) for s in seeds]
         return run_simulations(tasks, progress=progress, policy=self.policy)
-
-    def compare(
-        self,
-        workloads: Sequence[str],
-        specs: list[RunSpec],
-        baseline: RunSpec | None = None,
-    ) -> dict[str, list[ModeResult]]:
-        """Every spec against a common baseline on every workload.
-
-        The session supplies length/seed/jobs/cache; the specs supply the
-        machines (the session's own recipe is available via
-        :meth:`spec`).
-        """
-        return compare_modes(
-            tuple(workloads),
-            specs,
-            length=self.length,
-            seed=self.seed,
-            baseline=baseline,
-            policy=self.policy,
-        )
 
     def bench(
         self,

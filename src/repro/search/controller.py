@@ -44,45 +44,10 @@ from repro.search.promote import (
     rank_points,
 )
 from repro.search.spec import SearchSpec
-from repro.sweep.spec import SweepPoint, SweepSpec
+from repro.sweep.execute import campaign_rows
+from repro.sweep.spec import SweepSpec
 from repro.sweep.stats import PointAggregate, aggregate
 from repro.sweep.store import ResultStore
-
-
-def rung_rows(
-    sweep: SweepSpec,
-    points: list[SweepPoint],
-    seeds,
-    index_of: dict[str, int],
-) -> list[dict]:
-    """Store rows for one rung: each point × seeds, plus the paired
-    baselines.  ``idx`` is the point's *original grid* index so every
-    rung (and the exhaustive reference) aggregates in the same order."""
-    rows: list[dict] = []
-    for point in points:
-        for seed in seeds:
-            rows.append({
-                "point_id": point.point_id,
-                "seed": seed,
-                "role": "point",
-                "idx": index_of[point.point_id],
-                "workload": point.workload,
-                "length": point.length,
-                "params": point.params,
-            })
-    for workload, length in dict.fromkeys((p.workload, p.length) for p in points):
-        base = sweep.baseline_point(workload, length)
-        for seed in seeds:
-            rows.append({
-                "point_id": base.point_id,
-                "seed": seed,
-                "role": "baseline",
-                "idx": -1,
-                "workload": workload,
-                "length": length,
-                "params": base.params,
-            })
-    return rows
 
 
 def _row_units(row: dict, sample: int | None, warmup: int) -> int:
@@ -281,7 +246,6 @@ def run_search(
     grid = spec.sweep.expand()
     if max_points is not None:
         grid = grid[:max_points]
-    index_of = {p.point_id: i for i, p in enumerate(grid)}
     by_id = {p.point_id: p for p in grid}
 
     points = list(grid)
@@ -312,9 +276,7 @@ def run_search(
         rung_sweep = spec.rung_sweep(ri)
         warmup = spec.rung_warmup(ri)
         sim_before = simulated
-        base_rows = rung_rows(
-            spec.sweep, points, range(rung.seeds), index_of
-        )
+        base_rows = campaign_rows(spec.sweep, points=points, seeds=range(rung.seeds))
         base_keys = {(r["point_id"], r["seed"]) for r in base_rows}
         if execute:
             say(
@@ -381,8 +343,8 @@ def run_search(
                     f"point(s); allocating seed {extra_seed} to "
                     f"{len(contenders)} contender(s)"
                 )
-                extra = rung_rows(
-                    spec.sweep, contenders, (extra_seed,), index_of
+                extra = campaign_rows(
+                    spec.sweep, points=contenders, seeds=(extra_seed,)
                 )
                 drain(rung_sweep, extra, warmup, rung.sample)
                 _, aggs = rung_state()

@@ -117,7 +117,9 @@ class MissOracleSelector(LoadSelector):
     not predicted at all.
     """
 
-    def __init__(self, mtvp_level: MemLevel = MemLevel.MEMORY) -> None:
+    def __init__(self, mtvp_level: MemLevel | str = MemLevel.MEMORY) -> None:
+        if isinstance(mtvp_level, str):  # a level name, as spec files spell it
+            mtvp_level = MemLevel[mtvp_level]
         #: minimum miss depth that justifies spawning a thread
         self.mtvp_level = mtvp_level
 

@@ -134,7 +134,9 @@ def drain_store(
         (dispatches of previously-failed rows), ``lost`` (results whose
         lease was reclaimed before the commit landed), ``shed`` (rows
         released for peers to steal), ``ckpt_enabled``/``ckpt_hits``/
-        ``ckpt_stores`` (warm-state checkpoint traffic).
+        ``ckpt_stores`` (warm-state checkpoint traffic) and
+        ``cache_enabled``/``cache_hits``/``cache_misses`` (result-cache
+        traffic).
     """
     policy = policy if policy is not None else ExecutionPolicy()
     say = echo if echo is not None else (lambda *_: None)
@@ -155,6 +157,8 @@ def drain_store(
         "simulated": 0, "retried": 0, "lost": 0, "shed": 0,
         "ckpt_enabled": int(ckpt_store is not None),
         "ckpt_hits": 0, "ckpt_stores": 0,
+        "cache_enabled": int(cache_obj is not None),
+        "cache_hits": 0, "cache_misses": 0,
     }
 
     def claimable(rows) -> list:
@@ -311,4 +315,7 @@ def drain_store(
     if ckpt_store is not None:
         counters["ckpt_hits"] = ckpt_store.hits
         counters["ckpt_stores"] = ckpt_store.stores
+    if cache_obj is not None:
+        counters["cache_hits"] = cache_obj.hits
+        counters["cache_misses"] = cache_obj.misses
     return counters

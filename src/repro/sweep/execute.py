@@ -43,7 +43,7 @@ from pathlib import Path
 
 from repro.harness.policy import ExecutionPolicy
 from repro.sweep.drain import _Heartbeat, drain_store  # noqa: F401  (re-export)
-from repro.sweep.spec import SweepSpec
+from repro.sweep.spec import SweepPoint, SweepSpec
 from repro.sweep.store import ResultStore
 
 
@@ -79,36 +79,38 @@ class CampaignSummary:
         )
 
 
-def campaign_rows(spec: SweepSpec, max_points: int | None = None) -> list[dict]:
-    """The store rows a spec expands to (points × seeds, plus baselines)."""
-    points = spec.expand()
-    if max_points is not None:
-        points = points[:max_points]
-    rows: list[dict] = []
-    for idx, point in enumerate(points):
-        for seed in spec.seeds:
-            rows.append({
-                "point_id": point.point_id,
-                "seed": seed,
-                "role": "point",
-                "idx": idx,
-                "workload": point.workload,
-                "length": point.length,
-                "params": point.params,
-            })
-    for workload, length in dict.fromkeys((p.workload, p.length) for p in points):
-        base = spec.baseline_point(workload, length)
-        for seed in spec.seeds:
-            rows.append({
-                "point_id": base.point_id,
-                "seed": seed,
-                "role": "baseline",
-                "idx": -1,
-                "workload": workload,
-                "length": length,
-                "params": base.params,
-            })
-    return rows
+def campaign_rows(
+    spec: SweepSpec,
+    max_points: int | None = None,
+    *,
+    points: list[SweepPoint] | None = None,
+    seeds=None,
+) -> list[dict]:
+    """The store rows a spec expands to: points × seeds, plus baselines.
+
+    ``points``/``seeds`` narrow the campaign (a search rung runs a subset
+    of the grid at its own seed count); ``idx`` is always the point's grid
+    index, so every subset aggregates in grid order.
+    """
+    grid = spec.expand()
+    index_of = {p.point_id: i for i, p in enumerate(grid)}
+    points = grid[:max_points] if points is None else points
+    seeds = spec.seeds if seeds is None else seeds
+    bases = spec.baseline_points(points)
+    return [
+        {
+            "point_id": point.point_id,
+            "seed": seed,
+            "role": role,
+            "idx": index_of[point.point_id] if role == "point" else -1,
+            "workload": point.workload,
+            "length": point.length,
+            "params": point.params,
+        }
+        for role, group in (("point", points), ("baseline", bases))
+        for point in group
+        for seed in seeds
+    ]
 
 
 def run_sweep(
@@ -210,13 +212,18 @@ def run_sweep(
         skipped=initially_done,
         retried=counters.get("retried", 0),
     )
+    # serial local campaigns report exact in-process traffic; pooled
+    # and distributed ones aggregate what their workers reported
     if counters.get("ckpt_enabled"):
-        # serial local campaigns report exact in-process traffic; pooled
-        # and distributed ones aggregate what their workers reported
         say(
             f"{spec.name}: warmup checkpoints: "
             f"{counters.get('ckpt_hits', 0)} restored, "
             f"{counters.get('ckpt_stores', 0)} stored"
+        )
+    if counters.get("cache_enabled"):
+        say(
+            f"{spec.name}: result cache: {counters.get('cache_hits', 0)} hits, "
+            f"{counters.get('cache_misses', 0)} misses"
         )
     say(summary.format())
     return summary

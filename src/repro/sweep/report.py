@@ -5,7 +5,7 @@ markdown tables (full per-point, plus per-axis marginals), extracts the
 best point and the Pareto frontier over (speedup, contexts used,
 store-buffer size), and exports rows as CSV/JSON — reusing
 :mod:`repro.harness.export` by packaging the sweep as an
-:class:`~repro.harness.experiments.ExperimentResult` — or as JSONL.
+:class:`~repro.harness.export.ExperimentResult` — or as JSONL.
 
 All output is deterministic: rows follow campaign order, statistics come
 from the seeded bootstrap, and nothing volatile (wall time, timestamps)
@@ -19,7 +19,7 @@ import json
 from pathlib import Path
 from statistics import fmean
 
-from repro.harness.experiments import ExperimentResult
+from repro.harness.export import ExperimentResult, format_cell
 from repro.harness.metrics import geomean_speedup
 from repro.sweep.stats import PointAggregate
 
@@ -196,17 +196,15 @@ def pareto_result(aggregates: list[PointAggregate]) -> ExperimentResult:
 
 def format_markdown(result: ExperimentResult) -> str:
     """Render an :class:`ExperimentResult` as a GitHub-flavored table."""
-    from repro.harness.experiments import _fmt
-
     lines = [f"### {result.title}", ""]
     lines.append("| " + " | ".join(result.columns) + " |")
     lines.append("|" + "|".join(" --- " for _ in result.columns) + "|")
     for row in result.rows:
         lines.append(
-            "| " + " | ".join(_fmt(row.get(c)) for c in result.columns) + " |"
+            "| " + " | ".join(format_cell(row.get(c)) for c in result.columns) + " |"
         )
     for key, value in result.summary.items():
-        lines.append(f"\n**{key}:** {_fmt(value)}")
+        lines.append(f"\n**{key}:** {format_cell(value)}")
     return "\n".join(lines) + "\n"
 
 

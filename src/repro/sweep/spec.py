@@ -30,6 +30,23 @@ Axis and base keys are either the *special* recipe keys (``machine``,
 field names; unknown keys are rejected at load time with the valid
 choices listed.  Enum-valued fields (``fetch_policy``, ``mode``) take
 their string values; ``store_buffer_entries = 0`` means unbounded.
+
+Three spellings cover recipes a single key cannot (the paper figures
+under ``sweeps/paper/`` use all of them)::
+
+    [base]                       # a component with keywords
+    predictor = {name = "wang-franklin", threshold = 8, penalty = 4}
+
+    [axes]                       # a series axis: any name, recipe tables
+    series = [{machine = "stvp"}, {machine = "mtvp", threads = 2}]
+
+    [baseline]                   # one baseline per value of an axis
+    machine = "baseline"
+    follow = ["mem_latency"]
+
+A series axis's tables are merged into the point's recipe (its name is
+not a recipe key, so it leaves no trace in the params).  ``follow`` names
+axes whose value the baseline copies from the point it is paired with.
 """
 
 from __future__ import annotations
@@ -43,6 +60,7 @@ import random
 from pathlib import Path
 from typing import Callable
 
+from repro import select, vp
 from repro.core import FetchPolicy, MachineConfig, SimMode
 from repro.harness.runner import RunSpec, default_length
 from repro.workloads import SPEC_FP, SPEC_INT, get_workload
@@ -82,15 +100,45 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(MachineConfig)}
 _ENUM_FIELDS = {"fetch_policy": FetchPolicy, "mode": SimMode}
 
 
+def _is_recipe_key(key) -> bool:
+    return key in SPECIAL_KEYS or key in _CONFIG_FIELDS
+
+
 def _check_keys(keys, where: str) -> None:
     for key in keys:
-        if key in SPECIAL_KEYS or key in _CONFIG_FIELDS:
+        if _is_recipe_key(key):
             continue
         valid = ", ".join(sorted(_CONFIG_FIELDS | set(SPECIAL_KEYS)))
         raise SweepSpecError(
             f"unknown {where} key {key!r}; valid keys are the recipe keys "
             f"({', '.join(SPECIAL_KEYS)}) and MachineConfig fields ({valid})"
         )
+
+
+def _check_recipe(recipe: dict, where: str) -> None:
+    """Recipe keys, plus every predictor/selector table built once."""
+    _check_keys(recipe, where)
+    for kind, registry in (("predictor", vp), ("selector", select)):
+        table = recipe.get(kind)
+        if not isinstance(table, dict):
+            continue
+        try:
+            _component(registry, table)()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SweepSpecError(
+                f"{where} {kind} table {table!r} is invalid: {exc}"
+            ) from None
+
+
+def _component(registry, value):
+    """A registry name, or a ``{name = ..., <keywords>}`` table, as a factory."""
+    if not isinstance(value, dict):
+        return value
+    kwargs = dict(value)
+    name = kwargs.pop("name", None)
+    if not isinstance(name, str):
+        raise KeyError("a component table needs a string 'name'")
+    return registry.factory(name, **kwargs)
 
 
 def _resolve_workloads(workloads) -> tuple[str, ...]:
@@ -109,12 +157,21 @@ def _resolve_workloads(workloads) -> tuple[str, ...]:
     return tuple(dict.fromkeys(names))
 
 
+def _ints(values, field: str, minimum: int) -> tuple[int, ...]:
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise SweepSpecError(
+                f"{field} must hold integers >= {minimum}, got {value!r}"
+            )
+    return tuple(values)
+
+
 def _resolve_seeds(seeds) -> tuple[int, ...]:
     if isinstance(seeds, int):
         if seeds < 1:
             raise SweepSpecError("seeds must be a positive count or a list")
         return tuple(range(seeds))
-    out = tuple(int(s) for s in seeds)
+    out = _ints(seeds, "seeds", 0)
     if not out:
         raise SweepSpecError("a sweep needs at least one seed")
     return out
@@ -174,7 +231,7 @@ def run_spec_for(
     preset = PRESETS[machine]
     overrides = {}
     for key, value in params.items():
-        if key in SPECIAL_KEYS:
+        if key in SPECIAL_KEYS or key == "follow":
             continue
         if key in _ENUM_FIELDS and isinstance(value, str):
             value = _ENUM_FIELDS[key](value)
@@ -194,8 +251,8 @@ def run_spec_for(
     return RunSpec(
         name,
         factory,
-        predictor_factory=params.get("predictor", "wang-franklin"),
-        selector_factory=params.get("selector", "ilp-pred"),
+        predictor_factory=_component(vp, params.get("predictor", "wang-franklin")),
+        selector_factory=_component(select, params.get("selector", "ilp-pred")),
         warmup=warmup,
         sample=sample,
     )
@@ -236,7 +293,9 @@ class SweepSpec:
             ``"spawn_latency <= 16 or threads == 8"``) or a callable
             taking the context dict.  Points failing any predicate are
             dropped before sampling.
-        baseline: Recipe of the speedup denominator machine.
+        baseline: Recipe of the speedup denominator machine; its
+            ``follow`` list names axes whose value it copies from each
+            point, giving one baseline per value.
         retries: Default retry budget for failed points.
         warmup: Instructions functionally fast-forwarded before every
             point's timed region (0 = full-trace protocol).  Uniform
@@ -275,18 +334,42 @@ class SweepSpec:
             raise SweepSpecError("warmup must be non-negative")
         if self.sample is not None and self.sample < 1:
             raise SweepSpecError("sample must be a positive length (or unset)")
-        _check_keys(self.base, "base")
-        _check_keys(self.baseline, "baseline")
-        _check_keys(self.axes, "axis")
+        _check_recipe(self.base, "base")
+        follow = self.baseline.get("follow", [])
+        if not isinstance(follow, list):
+            raise SweepSpecError("baseline follow must be a list of axis names")
+        _check_recipe(
+            {k: v for k, v in self.baseline.items() if k != "follow"}, "baseline"
+        )
         for key, values in self.axes.items():
             if not isinstance(values, (list, tuple)) or not values:
                 raise SweepSpecError(
                     f"axis {key!r} must be a non-empty list of values"
                 )
+            if _is_recipe_key(key):
+                for value in values:
+                    _check_recipe({key: value}, "axis")
+                continue
+            # any other name is a series axis: every value a recipe table
+            tables = [v for v in values if isinstance(v, dict)]
+            if not tables:
+                _check_keys([key], "axis")  # a plain axis needs a recipe key
+            if len(tables) != len(values):
+                raise SweepSpecError(
+                    f"series axis {key!r} mixes recipe tables with other values"
+                )
+            for table in tables:
+                _check_recipe(table, f"series axis {key!r}")
+        for key in follow:
+            if not (_is_recipe_key(key) and key in self.axes):
+                raise SweepSpecError(
+                    f"baseline follow key {key!r} must name a recipe-key "
+                    f"axis (axes: {', '.join(self.axes) or 'none'})"
+                )
         self.axes = {k: list(v) for k, v in self.axes.items()}
         self.workloads = _resolve_workloads(self.workloads)
         self.seeds = _resolve_seeds(self.seeds)
-        self.lengths = tuple(int(n) for n in self.lengths)
+        self.lengths = _ints(self.lengths, "lengths", 1)
         self.constraints = tuple(self.constraints)
 
     # ------------------------------------------------------------------
@@ -315,7 +398,11 @@ class SweepSpec:
             for length in self.resolved_lengths():
                 for combo in combos:
                     params = dict(self.base)
-                    params.update(zip(axis_names, combo))
+                    for name, value in zip(axis_names, combo):
+                        if _is_recipe_key(name):
+                            params[name] = value
+                        else:
+                            params.update(value)  # a series table
                     context = dict(params, workload=workload, length=length)
                     if not _passes(self.constraints, context):
                         continue
@@ -329,12 +416,17 @@ class SweepSpec:
             points = rng.sample(points, self.samples)
         return points
 
-    def baseline_point(self, workload: str, length: int) -> SweepPoint:
-        """The denominator run paired with every point on ``workload``."""
-        params = dict(self.baseline)
-        return SweepPoint(
-            "base-" + point_id(params, workload, length), workload, length, params
-        )
+    def baseline_points(self, points: list[SweepPoint]) -> list[SweepPoint]:
+        """The distinct denominator runs ``points`` pair with, in first-use
+        order: one per workload and length, and per value of each axis the
+        baseline's ``follow`` list names."""
+        bases: dict[str, SweepPoint] = {}
+        for p in points:
+            params = dict(self.baseline)
+            params.update((k, p.params[k]) for k in self.baseline.get("follow", ()))
+            pid = "base-" + point_id(params, p.workload, p.length)
+            bases.setdefault(pid, SweepPoint(pid, p.workload, p.length, params))
+        return list(bases.values())
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

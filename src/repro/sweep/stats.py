@@ -64,7 +64,8 @@ class PointAggregate:
     ``speedups`` holds the per-seed percent speedups versus the paired
     baseline run (same workload, length and seed).  ``geomean`` is None
     when any replicate implies a non-positive ratio (≤ -100%), where a
-    geometric mean is undefined.
+    geometric mean is undefined.  ``config`` and ``stats`` are the first
+    completed replicate's resolved machine and :meth:`SimStats.to_dict`.
     """
 
     point_id: str
@@ -76,6 +77,7 @@ class PointAggregate:
     seeds: list[int]
     speedups: list[float]
     n_failed: int
+    stats: dict = dataclasses.field(default_factory=dict)
     mean: float | None = None
     geomean: float | None = None
     ci_lo: float | None = None
@@ -135,19 +137,23 @@ def aggregate(rows, confidence: float = 0.95) -> list[PointAggregate]:
     rows index the denominators; each point's ``done`` replicates whose
     ``(workload, length, seed)`` has a baseline become speedups, while
     ``failed`` replicates are counted so graceful degradation stays
-    visible in the report.  ``confidence`` sets the bootstrap CI level on
-    every aggregate (search promotion varies it; reports keep 0.95).
+    visible in the report.  A baseline with a ``follow`` list pairs only
+    with the points that hold its values on those axes.  ``confidence`` sets the
+    bootstrap CI level on every aggregate (search promotion varies it;
+    reports keep 0.95).
     """
-    baselines: dict[tuple[str, int, int], float] = {}
+    baselines: dict[tuple, float] = {}
+    follow: list[str] = []
     for row in rows:
         if row["role"] == "baseline" and row["status"] == "done":
             stats = json.loads(row["stats"])
+            params = json.loads(row["params"])
+            follow = params.get("follow", [])
             cycles = stats.get("cycles", 0)
             useful = stats.get("useful_instructions", 0)
             if cycles > 0:
-                baselines[(row["workload"], row["length"], row["seed"])] = (
-                    useful / cycles
-                )
+                key = (row["workload"], row["length"], row["seed"])
+                baselines[key + tuple(params[k] for k in follow)] = useful / cycles
 
     grouped: dict[str, list] = {}
     for row in rows:
@@ -157,16 +163,22 @@ def aggregate(rows, confidence: float = 0.95) -> list[PointAggregate]:
     out: list[PointAggregate] = []
     for pid, group in grouped.items():
         group.sort(key=lambda r: r["seed"])
+        first = group[0]
+        params = json.loads(first["params"])
+        followed = tuple(params.get(k) for k in follow)
         seeds: list[int] = []
         speedups: list[float] = []
         n_failed = 0
         config: dict = {}
+        first_stats: dict = {}
         for row in group:
             if row["status"] == "done":
                 stats = json.loads(row["stats"])
                 cycles = stats.get("cycles", 0)
                 ipc = stats.get("useful_instructions", 0) / cycles if cycles else 0.0
-                base = baselines.get((row["workload"], row["length"], row["seed"]))
+                base = baselines.get(
+                    (row["workload"], row["length"], row["seed"]) + followed
+                )
                 if base is None:
                     n_failed += 1  # denominator missing: unusable replicate
                     continue
@@ -174,20 +186,21 @@ def aggregate(rows, confidence: float = 0.95) -> list[PointAggregate]:
                 speedups.append(percent_speedup(ipc, base))
                 if not config and row["config"]:
                     config = json.loads(row["config"])
+                first_stats = first_stats or stats
             elif row["status"] == "failed":
                 n_failed += 1
-        first = group[0]
         out.append(
             PointAggregate(
                 point_id=pid,
                 idx=first["idx"],
                 workload=first["workload"],
                 length=first["length"],
-                params=json.loads(first["params"]),
+                params=params,
                 config=config,
                 seeds=seeds,
                 speedups=speedups,
                 n_failed=n_failed,
+                stats=first_stats,
                 confidence=confidence,
             )
         )

@@ -137,6 +137,8 @@ class TestCheckpointParity:
             # 3 points + baseline per seed, 2 seeds: every row either
             # stored its warm state or restored one
             assert restored + stored >= 8, (mode, lines)
+            # each fresh cache misses once per row, whoever ran the row
+            assert "parity: result cache: 0 hits, 8 misses" in lines, (mode, lines)
         assert rows["local"] == rows["pool"] == rows["workers"]
 
 

@@ -1,20 +1,44 @@
-"""Tests for the experiment harness: metrics, runner, result formatting."""
+"""Tests for the experiment harness: metrics, runner, result formatting,
+and the paper figures run as sweep specs."""
 
-import functools
+import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.core import MachineConfig
 from repro.harness import (
+    EXPERIMENTS,
+    ExecutionPolicy,
     ExperimentResult,
-    ModeResult,
+    ResultCache,
     RunSpec,
-    compare_modes,
     geomean_speedup,
+    load_experiment,
     percent_speedup,
+    run_experiment,
     run_once,
 )
-from repro.vp import OraclePredictor
+from repro.harness.runner import default_length
+
+#: the rendered tables of every experiment on a four-workload subset,
+#: captured from the figure code that predates the sweep specs (one
+#: batch of runs per figure, baselines re-run per batch); the sweep path
+#: must reproduce them byte for byte
+TABLES = json.loads(
+    (Path(__file__).parent / "data" / "paper_tables.json").read_text()
+)
+
+
+def small(exp_id: str, workloads=None):
+    """An experiment's spec restricted to the fixture's workload subset."""
+    spec = load_experiment(exp_id)
+    if exp_id == "sec5.6":  # swim and parser are the experiment itself
+        return spec
+    return dataclasses.replace(
+        spec, workloads=tuple(workloads or TABLES["workloads"])
+    )
 
 
 class TestMetrics:
@@ -56,28 +80,11 @@ class TestRunner:
         stats = run_once("crafty", spec, length=600)
         assert stats.useful_instructions == 600
 
-    def test_compare_modes_structure(self):
-        specs = [
-            RunSpec("stvp", MachineConfig.stvp, predictor_factory=OraclePredictor),
-            RunSpec(
-                "mtvp2",
-                functools.partial(MachineConfig.mtvp, 2),
-                predictor_factory=OraclePredictor,
-            ),
-        ]
-        results = compare_modes(("crafty", "swim"), specs, length=600)
-        assert set(results) == {"stvp", "mtvp2"}
-        for rows in results.values():
-            assert [r.workload for r in rows] == ["crafty", "swim"]
-            assert rows[0].suite == "int" and rows[1].suite == "fp"
-            for r in rows:
-                assert r.base_ipc > 0
-
-    def test_mode_result_speedup(self):
-        from repro.core import SimStats
-
-        r = ModeResult("x", "int", "m", ipc=2.0, base_ipc=1.0, stats=SimStats())
-        assert r.speedup_percent == pytest.approx(100.0)
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_default_length_rejects_non_positive_env(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_TRACE_LEN", value)
+        with pytest.raises(ValueError, match=f"REPRO_TRACE_LEN.*'{value}'"):
+            default_length()
 
 
 class TestExperimentResult:
@@ -103,8 +110,6 @@ class TestExperimentResult:
 
 class TestExperimentRegistry:
     def test_registry_covers_every_artifact(self):
-        from repro.harness import EXPERIMENTS
-
         assert set(EXPERIMENTS) == {
             "fig1",
             "fig2",
@@ -120,12 +125,65 @@ class TestExperimentRegistry:
             "ablation-latency",
         }
 
-    def test_small_experiment_end_to_end(self, monkeypatch):
-        """Run fig5 (the cheapest per-workload experiment) on a tiny trace."""
-        import repro.harness.experiments as exp
+    def test_every_experiment_is_a_spec_named_by_its_id(self):
+        for exp_id in EXPERIMENTS:
+            spec = load_experiment(exp_id)
+            assert spec.name == exp_id and spec.seeds == (0,)
 
-        monkeypatch.setattr(exp, "ALL", ("crafty", "swim"))
-        result = exp.fig5_multivalue_potential(length=800)
+    def test_small_experiment_end_to_end(self):
+        """Run fig5 (the cheapest per-workload experiment) on a tiny trace."""
+        result = run_experiment(small("fig5", ("crafty", "swim")), length=800)
         assert len(result.rows) == 2
         for row in result.rows:
             assert 0.0 <= row["fraction"] <= 1.0
+
+
+@pytest.fixture(scope="module")
+def shared_cache(tmp_path_factory):
+    """One result cache for the figure tables: figures share baselines."""
+    return ResultCache(tmp_path_factory.mktemp("paper-cache"))
+
+
+class TestPaperTables:
+    @pytest.mark.parametrize("exp_id", sorted(TABLES["tables"]))
+    def test_table_is_byte_identical(self, exp_id, shared_cache):
+        result = run_experiment(
+            small(exp_id), length=TABLES["length"],
+            policy=ExecutionPolicy(jobs=1, cache=shared_cache),
+        )
+        assert result.format_table() == TABLES["tables"][exp_id]
+
+    def test_failed_rows_raise_and_are_named(self):
+        spec = dataclasses.replace(
+            load_experiment("sec5.6"),
+            base={"machine": "mtvp", "threads": 8, "spawn_latency": -1},
+        )
+        with pytest.raises(RuntimeError) as excinfo:
+            run_experiment(spec, length=400,
+                           policy=ExecutionPolicy(cache=False, retries=0))
+        message = str(excinfo.value)
+        assert "4 of 6 rows did not complete" in message
+        for workload in ("swim", "parser"):
+            assert f"point {workload} " in message
+        assert "spawn_latency" in message
+
+    def test_a_code_change_recomputes_every_row(self, tmp_path, monkeypatch):
+        """The figure store is fresh per run and the result cache is keyed
+        by code version, so numbers from older code are never served."""
+        import repro.harness.cache as cache_mod
+
+        spec = small("fig5", ("crafty", "swim"))
+        tasks = len(spec.expand()) + 2  # points plus one baseline each
+
+        def run():
+            cache = ResultCache(tmp_path)
+            table = run_experiment(
+                spec, length=600, policy=ExecutionPolicy(jobs=1, cache=cache)
+            ).format_table()
+            return table, cache.hits, cache.misses
+
+        first = run()
+        assert first[1:] == (0, tasks)
+        assert run() == (first[0], tasks, 0)  # same code: all served
+        monkeypatch.setattr(cache_mod, "code_version", lambda: "edited")
+        assert run() == (first[0], 0, tasks)  # edited code: all recomputed

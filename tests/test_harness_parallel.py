@@ -11,7 +11,6 @@ from repro.harness import (
     RunSpec,
     ResultCache,
     SimulationError,
-    compare_modes,
     run_simulations,
     task_key,
 )
@@ -153,21 +152,39 @@ class TestRunSimulations:
         assert cache.hits == len(tasks()) and cache.misses == 0
         assert [s.to_dict() for s in first] == [s.to_dict() for s in second]
 
-    def test_cached_parallel_compare_matches_serial(self, tmp_path):
-        serial = compare_modes(("crafty", "swim"), specs(), length=LENGTH, cache=False)
-        fanned = compare_modes(
-            ("crafty", "swim"), specs(), length=LENGTH, jobs=2,
-            cache=ResultCache(tmp_path),
+    def test_cached_parallel_sweep_matches_serial(self, tmp_path):
+        import json
+
+        from repro.sweep import ResultStore, SweepSpec, run_sweep
+
+        spec = SweepSpec(
+            name="par",
+            workloads=("crafty", "swim"),
+            lengths=(LENGTH,),
+            seeds=(0,),
+            axes={"series": [
+                {"machine": "stvp", "predictor": "oracle"},
+                {"machine": "mtvp", "threads": 2, "predictor": "wang-franklin"},
+            ]},
         )
-        warm = compare_modes(
-            ("crafty", "swim"), specs(), length=LENGTH, jobs=2,
-            cache=ResultCache(tmp_path),
-        )
-        for results in (fanned, warm):
-            for mode, rows in serial.items():
-                got = results[mode]
-                assert [r.ipc for r in got] == [r.ipc for r in rows]
-                assert [r.stats for r in got] == [r.stats for r in rows]
+
+        def campaign(name, **policy):
+            store = ResultStore(tmp_path / f"{name}.db")
+            summary = run_sweep(spec, store, policy=ExecutionPolicy(**policy))
+            assert summary.complete
+            return {
+                (r["point_id"], r["seed"]): json.loads(r["stats"])
+                for r in store.rows(spec.name)
+            }
+
+        serial = campaign("serial", jobs=1, cache=False, dispatch="local")
+        fanned = campaign("fanned", jobs=2, cache=ResultCache(tmp_path / "c"),
+                          dispatch="pool")
+        warm_cache = ResultCache(tmp_path / "c")
+        warm = campaign("warm", jobs=2, cache=warm_cache, dispatch="pool")
+        assert len(serial) == 6  # 2 workloads x (2 series + baseline)
+        assert fanned == serial and warm == serial
+        assert warm_cache.misses == 0 and warm_cache.hits == len(serial)
 
 
 def bad_spec():

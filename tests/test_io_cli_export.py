@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.harness.experiments import ExperimentResult
+from repro.harness.export import ExperimentResult
 from repro.harness.export import (
     load_result_json,
     result_to_csv,
@@ -273,6 +273,13 @@ class TestCli:
         )
         assert code == 0
         assert "spawns" in out
+
+    def test_experiment_rejects_a_non_positive_length(self, capsys):
+        code, out = self.run_cli(
+            ["experiment", "fig5", "--length", "-5", "--no-cache"], capsys
+        )
+        assert code == 1
+        assert "lengths must hold integers >= 1, got -5" in out
 
     def test_experiment_unknown_id(self, capsys):
         code, out = self.run_cli(["experiment", "fig99"], capsys)

@@ -168,6 +168,155 @@ class TestSweepSpec:
             run_spec_for({"machine": "stvp", "threads": 4})
 
 
+class TestSpecValidation:
+    @pytest.mark.parametrize("lengths", [[0], [-3], [500, 0]])
+    def test_non_positive_lengths_rejected_at_load(self, lengths):
+        with pytest.raises(SweepSpecError, match="lengths"):
+            mini_spec(lengths=lengths)
+
+    def test_negative_seed_rejected_at_load(self):
+        with pytest.raises(SweepSpecError, match="seeds"):
+            mini_spec(seeds=[-1])
+
+    def test_toml_lengths_checked_too(self, tmp_path):
+        path = tmp_path / "bad.toml"
+        path.write_text(TOML.replace("lengths = [500]", "lengths = [0]"))
+        with pytest.raises(SweepSpecError, match="lengths"):
+            load_spec(path)
+
+
+SERIES = [{"machine": "stvp"}, {"machine": "mtvp", "threads": 2}]
+
+
+class TestSpecFormatAdditions:
+    """Series axes, component tables and axis-following baselines."""
+
+    def test_series_tables_merge_into_the_recipe(self):
+        spec = mini_spec(base={"predictor": "oracle"},
+                         axes={"spawn_latency": [1, 8], "series": SERIES})
+        assert [p.params for p in spec.expand()] == [
+            {"predictor": "oracle", "spawn_latency": 1, "machine": "stvp"},
+            {"predictor": "oracle", "spawn_latency": 1, "machine": "mtvp",
+             "threads": 2},
+            {"predictor": "oracle", "spawn_latency": 8, "machine": "stvp"},
+            {"predictor": "oracle", "spawn_latency": 8, "machine": "mtvp",
+             "threads": 2},
+        ]
+
+    def test_series_axis_runs(self, tmp_path):
+        spec = mini_spec(base={"predictor": "oracle"}, axes={"series": SERIES},
+                         seeds=(0,))
+        summary = run_sweep(spec, ResultStore(tmp_path / "s.db"),
+                            policy=ExecutionPolicy(cache=False))
+        assert summary.complete and summary.total == 3
+
+    def test_series_axis_rejects_mixed_values(self):
+        with pytest.raises(SweepSpecError, match="series axis 'series' mixes"):
+            mini_spec(axes={"series": [{"machine": "stvp"}, 3]})
+
+    def test_series_table_keys_checked(self):
+        with pytest.raises(SweepSpecError, match="unknown series axis 'series' key"):
+            mini_spec(axes={"series": [{"machine": "stvp", "nope": 1}]})
+
+    def test_predictor_table_builds_a_keyword_factory(self):
+        import functools
+
+        from repro.vp import WangFranklinPredictor
+
+        spec = mini_spec(base={
+            "machine": "mtvp", "threads": 2,
+            "predictor": {"name": "wang-franklin", "threshold": 8, "penalty": 4},
+        })
+        run_spec = run_spec_for(spec.expand()[0].params)
+        factory = run_spec.predictor_factory
+        assert isinstance(factory, functools.partial)
+        assert factory.func is WangFranklinPredictor
+        assert factory.keywords == {"threshold": 8, "penalty": 4}
+
+    def test_selector_table_takes_a_level_name(self):
+        from repro.memory import MemLevel
+
+        params = {"selector": {"name": "miss-oracle", "mtvp_level": "L3"}}
+        spec = mini_spec(axes={"series": [params]})
+        selector = run_spec_for(spec.expand()[0].params).selector_factory()
+        assert selector.mtvp_level is MemLevel.L3
+
+    @pytest.mark.parametrize("table, match", [
+        ({"name": "no-such-predictor"}, "unknown value predictor"),
+        ({"threshold": 8}, "needs a string 'name'"),
+        ({"name": "wang-franklin", "bogus": 1}, "bogus"),
+    ])
+    def test_bad_predictor_tables_rejected_at_load(self, table, match):
+        with pytest.raises(SweepSpecError, match=f"base predictor table.*{match}"):
+            mini_spec(base={"machine": "mtvp", "predictor": table})
+
+    def test_bad_level_name_rejected_at_load(self):
+        table = {"name": "miss-oracle", "mtvp_level": "L9"}
+        with pytest.raises(SweepSpecError, match="selector table.*'L9'"):
+            mini_spec(axes={"selector": [table]})
+
+    def test_baseline_follows_an_axis(self, tmp_path):
+        spec = mini_spec(
+            axes={"mem_latency": [250, 1000]}, seeds=(0,), workloads=("mcf",),
+            baseline={"machine": "baseline", "follow": ["mem_latency"]},
+        )
+        rows = campaign_rows(spec)
+        bases = [r for r in rows if r["role"] == "baseline"]
+        assert [b["params"]["mem_latency"] for b in bases] == [250, 1000]
+        store = ResultStore(tmp_path / "s.db")
+        assert run_sweep(spec, store, policy=ExecutionPolicy(cache=False)).complete
+        ipc = {}
+        for row in store.rows(spec.name):
+            stats = json.loads(row["stats"])
+            latency = json.loads(row["params"])["mem_latency"]
+            ipc[row["role"], latency] = (
+                stats["useful_instructions"] / stats["cycles"]
+            )
+        assert ipc["baseline", 250] != ipc["baseline", 1000]
+        for agg in aggregate(store.rows(spec.name)):
+            latency = agg.params["mem_latency"]
+            assert agg.speedups == [
+                100.0 * (ipc["point", latency] / ipc["baseline", latency] - 1.0)
+            ]
+
+    @pytest.mark.parametrize("follow, match", [
+        (["spawn_latency"], "follow key 'spawn_latency' must name"),
+        ("mem_latency", "must be a list"),
+    ])
+    def test_bad_follow_rejected_at_load(self, follow, match):
+        with pytest.raises(SweepSpecError, match=match):
+            mini_spec(axes={"mem_latency": [250]},
+                      baseline={"machine": "baseline", "follow": follow})
+
+    def test_follow_only_in_the_baseline(self):
+        with pytest.raises(SweepSpecError, match="unknown base key 'follow'"):
+            mini_spec(base={"machine": "mtvp", "follow": ["threads"]})
+
+
+def test_checked_in_point_ids_are_pinned():
+    """Every checked-in spec keeps the point ids and row count it had
+    before the spec format grew series, tables and ``follow``: existing
+    stores resume by these ids."""
+    from pathlib import Path
+
+    from repro.search import load_search_spec
+
+    root = Path(__file__).resolve().parents[1]
+    pinned = json.loads((root / "tests/data/sweep_point_ids.json").read_text())
+    found = {}
+    for path in sorted((root / "sweeps").glob("*.toml")):
+        try:
+            spec = load_spec(path)
+        except SweepSpecError:  # a search spec wraps its reference grid
+            spec = load_search_spec(path).sweep
+        rows = campaign_rows(spec)
+        found[path.name] = {
+            "rows": len(rows),
+            "point_ids": list(dict.fromkeys(r["point_id"] for r in rows)),
+        }
+    assert found == pinned
+
+
 class TestResultStore:
     def rows(self):
         return [
@@ -529,6 +678,20 @@ class TestSweepCLI:
         out = capsys.readouterr().out
         assert "bootstrap CI" in out and "best point" in out
         assert csv_path.exists()
+
+    @pytest.mark.parametrize("flag, value, match", [
+        ("--length", "-3", "lengths"),
+        ("--seeds", "-1", "seeds"),
+    ])
+    def test_malformed_overrides_rejected(self, tmp_path, flag, value, match):
+        from repro.__main__ import main
+
+        spec_path = tmp_path / "mini.toml"
+        spec_path.write_text(TOML)
+        with pytest.raises(SweepSpecError, match=match):
+            main(["sweep", "run", str(spec_path), "--no-cache",
+                  "--db", str(tmp_path / "mini.db"), flag, value])
+        assert not (tmp_path / "mini.db").exists()
 
     def test_status_shows_axis_progress_and_json_ledger(
         self, tmp_path, capsys
